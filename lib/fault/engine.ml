@@ -127,9 +127,6 @@ let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
         ~desc:(Printf.sprintf "contention burst x%d" count)
         count
   in
-  let blocked () =
-    List.filter (fun tid -> M.status m tid = M.Blocked) (M.all_tids m)
-  in
   let rec fire_triggers () =
     match !pending with
     | a :: rest when Plan.trigger a <= !steps ->
@@ -146,15 +143,17 @@ let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
       M.fire_due_timers m;
       let rs = M.runnable m in
       let unstalled =
-        List.filter
-          (fun tid ->
-            match Hashtbl.find_opt stalls tid with
-            | Some until when !steps < until -> false
-            | Some _ ->
-              Hashtbl.remove stalls tid;
-              true
-            | None -> true)
-          rs
+        if Hashtbl.length stalls = 0 then rs
+        else
+          List.filter
+            (fun tid ->
+              match Hashtbl.find_opt stalls tid with
+              | Some until when !steps < until -> false
+              | Some _ ->
+                Hashtbl.remove stalls tid;
+                true
+              | None -> true)
+            rs
       in
       match (rs, unstalled) with
       | [], _ -> (
@@ -179,7 +178,7 @@ let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
             incr steps;
             loop ()
           end
-          else if M.live m then Deadlock (blocked ())
+          else if M.live m then Deadlock (M.blocked m)
           else Completed)
       | _ :: _, [] ->
         (* Every runnable thread is stalled: the processors idle. *)

@@ -38,11 +38,7 @@ let run_prefix ~max_depth ~build prefix =
       match Machine.runnable m with
       | [] ->
         if Machine.live m then
-          `Terminal
-            (Interleave.Deadlock
-               (List.filter
-                  (fun tid -> Machine.status m tid = Machine.Blocked)
-                  (Machine.all_tids m)))
+          `Terminal (Interleave.Deadlock (Machine.blocked m))
         else `Terminal Interleave.Completed
       | [ only ] ->
         do_step only;
@@ -248,11 +244,7 @@ let explore_dpor ?(max_depth = 4000) ?(max_runs = 1_000_000)
         match Machine.runnable m with
         | [] ->
           let verdict =
-            if Machine.live m then
-              Interleave.Deadlock
-                (List.filter
-                   (fun tid -> Machine.status m tid = Machine.Blocked)
-                   (Machine.all_tids m))
+            if Machine.live m then Interleave.Deadlock (Machine.blocked m)
             else Interleave.Completed
           in
           record (check { verdict; machine = m; schedule = schedule () })
@@ -514,11 +506,7 @@ let run_prefix_bounded ~max_depth ~max_preemptions ~build prefix =
       match Machine.runnable m with
       | [] ->
         if Machine.live m then
-          `Terminal
-            (Interleave.Deadlock
-               (List.filter
-                  (fun tid -> Machine.status m tid = Machine.Blocked)
-                  (Machine.all_tids m)))
+          `Terminal (Interleave.Deadlock (Machine.blocked m))
         else `Terminal Interleave.Completed
       | enabled -> (
         let cur_enabled =

@@ -21,11 +21,7 @@ let run ?(max_steps = 1_000_000) ?strategy ?(seed = 0) ?cost build =
       match Machine.runnable m with
       | [] ->
         if Machine.advance_to_next_timer m then loop ()
-        else if Machine.live m then
-          Deadlock
-            (List.filter
-               (fun tid -> Machine.status m tid = Machine.Blocked)
-               (Machine.all_tids m))
+        else if Machine.live m then Deadlock (Machine.blocked m)
         else Completed
       | rs ->
         let tid = Sched.choose strategy m rs in

@@ -4,7 +4,9 @@
     strategies are deterministic functions of their construction arguments,
     so every run is reproducible. *)
 
-type t
+(** A strategy maps the machine and its non-empty runnable set (ascending
+    tids, as {!Machine.runnable} returns it) to the thread to step next. *)
+type t = Machine.t -> Threads_util.Tid.t list -> Threads_util.Tid.t
 
 (** [random seed] — uniform choice among runnable threads. *)
 val random : int -> t

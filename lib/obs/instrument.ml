@@ -9,7 +9,7 @@ type span = {
 }
 
 type t = {
-  counters : (string, int) Hashtbl.t;
+  counters : Tally.t;
   hists : (string, int list ref) Hashtbl.t;  (* samples, reversed *)
   gauges : (string, int) Hashtbl.t;  (* high-water marks *)
   open_spans : (int * string, int * string) Hashtbl.t;
@@ -20,7 +20,7 @@ type t = {
 
 let create () =
   {
-    counters = Hashtbl.create 32;
+    counters = Tally.create ();
     hists = Hashtbl.create 32;
     gauges = Hashtbl.create 16;
     open_spans = Hashtbl.create 16;
@@ -28,12 +28,8 @@ let create () =
     nspans = 0;
   }
 
-let incr t name n =
-  let cur = Option.value (Hashtbl.find_opt t.counters name) ~default:0 in
-  Hashtbl.replace t.counters name (cur + n)
-
-let counter t name =
-  Option.value (Hashtbl.find_opt t.counters name) ~default:0
+let incr t name n = Tally.add t.counters name n
+let counter t name = Tally.get t.counters name
 
 let sample t name v =
   match Hashtbl.find_opt t.hists name with
@@ -72,19 +68,17 @@ type snapshot = {
   spans : span list;  (* sorted by (t0, track), completion order on ties *)
 }
 
-let sorted_assoc fold tbl =
-  fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare (a : string) b)
+let by_name l = List.sort (fun (a, _) (b, _) -> compare (a : string) b) l
 
 let snapshot (t : t) =
   {
-    counters = sorted_assoc Hashtbl.fold t.counters;
-    gauges = sorted_assoc Hashtbl.fold t.gauges;
+    counters = Tally.to_list t.counters;
+    gauges = by_name (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.gauges []);
     histograms =
-      Hashtbl.fold
-        (fun k r acc -> (k, Stats.summarize_ints (List.rev !r)) :: acc)
-        t.hists []
-      |> List.sort (fun (a, _) (b, _) -> compare (a : string) b);
+      by_name
+        (Hashtbl.fold
+           (fun k r acc -> (k, Stats.summarize_ints (List.rev !r)) :: acc)
+           t.hists []);
     spans =
       List.stable_sort
         (fun a b -> compare (a.t0, a.track) (b.t0, b.track))

@@ -19,30 +19,32 @@ let backoff_cap = 64
    sequence (and hence the schedule) is exactly that of the bare loop. *)
 let acquire ?obs l =
   let t0 = Probe.now () in
-  let rec go ~spun ~backoff =
-    if Ops.tas l.bit then begin
-      Ops.incr_counter "spin.iterations";
-      (match obs with
-      | Some n -> Probe.counter (n ^ ".spin_iters") 1
-      | None -> ());
+  (* [iters]: the per-object spin counter's name, built at the first
+     failed TAS and reused by every later iteration of this acquire. *)
+  let rec spin iters ~backoff =
+    Ops.incr_counter "spin.iterations";
+    (match iters with Some k -> Probe.counter k 1 | None -> ());
+    let backoff =
       if Probe.chaos_active () then begin
         Ops.tick backoff;
-        go ~spun:true ~backoff:(min (backoff * 2) backoff_cap)
+        min (backoff * 2) backoff_cap
       end
-      else go ~spun:true ~backoff
-    end
-    else begin
-      Probe.lock_acquired l.bit;
-      if spun then
-        match obs with
-        | Some n ->
-          let t1 = Probe.now () in
-          Probe.counter (n ^ ".spin_cycles") (t1 - t0);
-          Probe.span_add ~cat:"spin" ("spin " ^ n) ~t0 ~t1
-        | None -> ()
-    end
+      else backoff
+    in
+    if Ops.tas l.bit then spin iters ~backoff else acquired ~spun:true
+  and acquired ~spun =
+    Probe.lock_acquired l.bit;
+    if spun then
+      match obs with
+      | Some n ->
+        let t1 = Probe.now () in
+        Probe.counter (n ^ ".spin_cycles") (t1 - t0);
+        Probe.span_add ~cat:"spin" ("spin " ^ n) ~t0 ~t1
+      | None -> ()
   in
-  go ~spun:false ~backoff:backoff_start
+  if Ops.tas l.bit then
+    spin (Option.map (fun n -> n ^ ".spin_iters") obs) ~backoff:backoff_start
+  else acquired ~spun:false
 
 let release l =
   Probe.lock_released l.bit;

@@ -42,7 +42,7 @@ let pick t arr =
   arr.(int t (Array.length arr))
 
 let pick_list t xs =
-  assert (xs <> []);
+  assert (match xs with [] -> false | _ :: _ -> true);
   List.nth xs (int t (List.length xs))
 
 let shuffle t arr =

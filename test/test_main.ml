@@ -46,4 +46,5 @@ let () =
       Test_profile.suite;
       Test_runner.suite;
       Test_telemetry.suite;
+      Test_step.suite;
     ]

@@ -11,6 +11,9 @@
    - E3: one Signal-drain vs one Broadcast-drain over parked waiters.
    - E7/E9: the model checker on an incident scenario and the conformance
      checker over a long real trace.
+   - E10: one preempting-mode run that livelocks (the interrupt spins on
+     the Nub spin-lock its victim holds) for the whole 200 000-step cap —
+     the simulator's per-step cost, reported as host ns per step.
    - spec: parsing and printing the full interface. *)
 
 open Bechamel
@@ -148,6 +151,20 @@ let spec_print =
   Test.make ~name:"spec/print full interface"
     (Staged.stage (fun () ->
          ignore (Spec_core.Printer.to_string Spec_core.Threads_interface.final)))
+
+(* E10's preempting mode at a seed that livelocks: every run steps the
+   interleaving driver exactly [e10_spin_steps] times, almost all of them
+   the interrupt's TAS/counter spin, so host time per run over the step
+   count is the simulator's ns per step with every host stream off. *)
+let e10_spin_seed = 22
+let e10_spin_steps = 200_000
+let e10_spin_name = "e10/preempting spin, 200000 steps"
+let e10_spin_run () =
+  Threads_harness.E10.pv_run ~prefer:true ~seed:e10_spin_seed ()
+
+let e10_spin =
+  Test.make ~name:e10_spin_name
+    (Staged.stage (fun () -> ignore (e10_spin_run ())))
 
 let e2_timed_sim =
   Test.make ~name:"e2/timed sim, 4 threads x 50 ops, 5 cpus"
@@ -413,7 +430,16 @@ let arm_sim_cycles =
      analysis_cycles);
     ("chaos/sim mutex, empty plan", chaos_cycles chaos_empty_plan);
     ("chaos/sim mutex, delay-wakeups plan", chaos_cycles chaos_delay_plan);
+    (e10_spin_name, cycles_of (e10_spin_run ()));
   ]
+
+(* Simulated steps per run of the step-cost arms: exact, and the divisor
+   of their advisory host ns per step. *)
+let arm_sim_steps =
+  let r = e10_spin_run () in
+  if r.Firefly.Interleave.steps <> e10_spin_steps then
+    failwith "bench: the E10 spin arm no longer runs to its step cap";
+  [ (e10_spin_name, e10_spin_steps) ]
 
 (* Strip the Bechamel group prefix ("threads-repro/") for stable keys. *)
 let arm_key name =
@@ -424,7 +450,8 @@ let arm_key name =
 
 (* Schema v2 adds a [commit] field (the trajectory's x-axis; Null unless
    --commit=SHA is passed) next to the v1 keys.  `repro bench-diff`
-   accepts both versions. *)
+   accepts both versions.  Each row also carries [host_ns_per_step]
+   (advisory; Null except on step-cost arms), which bench-diff ignores. *)
 let bench_json ~quick ~commit rows =
   let open Obs.Json in
   let record (name, ns) =
@@ -437,6 +464,10 @@ let bench_json ~quick ~commit rows =
           match List.assoc_opt key arm_sim_cycles with
           | Some c -> Int c
           | None -> Null );
+        ( "host_ns_per_step",
+          match (ns, List.assoc_opt key arm_sim_steps) with
+          | Some v, Some steps -> Float (v /. float_of_int steps)
+          | _ -> Null );
       ]
   in
   Obj
@@ -513,6 +544,7 @@ let () =
         scale_par;
         explore_dfs;
         explore_dpor;
+        e10_spin;
       ]
   in
   let results = benchmark ~quick tests in
@@ -533,6 +565,14 @@ let () =
         (name, ns))
       rows
   in
+  List.iter
+    (fun (name, ns) ->
+      match (ns, List.assoc_opt (arm_key name) arm_sim_steps) with
+      | Some v, Some steps ->
+        Printf.printf "%s: %.1f host ns per simulated step\n" (arm_key name)
+          (v /. float_of_int steps)
+      | _ -> ())
+    measured;
   write_bench_json ~quick ~commit ~history measured;
   print_endline
     "\n(ns per run; full experiment tables: dune exec bin/repro.exe -- all)"

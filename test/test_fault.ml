@@ -280,6 +280,41 @@ let matrix_cases =
         [ "mutex"; "condvar"; "semaphore"; "timeout" ])
     chaos_backends
 
+(* The engine's exact counts over a fixed slice of the cells of
+   [repro generate --backend=sim --chaos --seed=7]: summed steps, verdict
+   counts and injected faults, from the build before the engine stepped
+   through [Interleave.drive].  A change to the stepping loop that moves
+   a trigger, a clock jump or an idle step shows here. *)
+let slice_cells = 2000
+
+let chaos_slice_pinned () =
+  let module Campaign = Threads_gen.Campaign in
+  let module Oracle = Threads_gen.Oracle in
+  let b = backend "sim" in
+  let driver = Option.get b.Bk.chaos in
+  let config =
+    { Campaign.policy = Threads_gen.Generate.Safe; runs = 32_000; seed = 7;
+      chaos = true; shrink = false }
+  in
+  let steps = ref 0 and injected = ref 0 in
+  let completed = ref 0 and deadlocked = ref 0 and budget = ref 0 in
+  for i = 0 to slice_cells - 1 do
+    let s = Campaign.scenario_of_cell config b i in
+    let wl = Threads_gen.Prog.to_workload ~name:"gen" s.Oracle.program in
+    let _, o = driver ~seed:s.Oracle.seed ~plan:(Option.get s.Oracle.plan) wl in
+    steps := !steps + o.Engine.steps;
+    injected := !injected + List.length o.Engine.injected;
+    incr
+      (match o.Engine.verdict with
+      | Engine.Completed -> completed
+      | Engine.Deadlock _ -> deadlocked
+      | Engine.Step_budget -> budget)
+  done;
+  Alcotest.(check (list int))
+    "steps, completed, deadlock, budget, injected"
+    [ 1_639_965; 1_974; 24; 2; 4_190 ]
+    [ !steps; !completed; !deadlocked; !budget; !injected ]
+
 let suite =
   ( "fault",
     [
@@ -302,4 +337,8 @@ let suite =
       Alcotest.test_case "uniproc alert cancellation keeps wakeups" `Quick
         (alert_under_delayed_wakeups "uniproc");
     ]
-    @ matrix_cases )
+    @ matrix_cases
+    @ [
+        Alcotest.test_case "chaos campaign slice pinned" `Quick
+          chaos_slice_pinned;
+      ] )

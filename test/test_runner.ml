@@ -310,6 +310,25 @@ let test_dpor_matches_dfs () =
         (dpor_stats.Ex.executions < dfs_stats.Ex.terminal_runs))
     [ "wakeup-waiting"; "hoare-signal" ]
 
+(* The exhaustive DFS's exact cost, from the build before the three
+   DFS searches shared one walk: executions (terminal plus truncated
+   replays) and replayed steps.  A change to the replay runner or the
+   visit order shows here. *)
+let test_explore_all_stats_pinned () =
+  List.iter
+    (fun (name, executions, steps) ->
+      let s = scenario name in
+      let _, st, complete =
+        Ex.explore_all ~max_depth:s.Sc.max_depth ~max_runs:500_000
+          ~build:s.Sc.build s.Sc.check
+      in
+      Alcotest.(check bool) (name ^ ": complete") true complete;
+      Alcotest.(check (pair int int))
+        (name ^ ": executions, steps")
+        (executions, steps)
+        (st.Ex.terminal_runs + st.Ex.truncated_runs, st.Ex.total_steps))
+    [ ("wakeup-waiting", 21_722, 962_147); ("hoare-signal", 1_411, 52_520) ]
+
 (* The rest of the catalogue is too big for DFS; DPOR must still finish
    and land exactly on the pinned expectations (E5's two stranding
    classes, clean alert cancellation, clean disjoint locks). *)
@@ -384,4 +403,6 @@ let suite =
       Alcotest.test_case "dpor parallel jobs parity" `Quick
         test_dpor_parallel_jobs_parity;
       Alcotest.test_case "dpor deterministic" `Quick test_dpor_deterministic;
+      Alcotest.test_case "explore_all stats pinned" `Quick
+        test_explore_all_stats_pinned;
     ] )

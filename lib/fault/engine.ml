@@ -27,7 +27,8 @@ let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
   in
   let m = M.create ~seed () in
   M.set_chaos_active m true;
-  let steps = ref 0 in
+  (* The driver loop's iteration count, as the trigger hook last saw it. *)
+  let now = ref 0 in
   (* Wakeup-interrupt filter, driven by the Delay/Drop triggers below.
      With no plan action armed it answers Deliver for every wakeup. *)
   let drop_budget = ref 0 in
@@ -40,7 +41,7 @@ let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
            decr drop_budget;
            M.Drop
          end
-         else if !steps <= !delay_until then M.Delay !delay_by
+         else if !now <= !delay_until then M.Delay !delay_by
          else M.Deliver));
   build m;
   let rng = Rng.create (seed lxor (plan.Plan.id * 65599)) in
@@ -87,7 +88,7 @@ let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
   let apply a =
     match a with
     | Plan.Delay_wakeups { width; delay; _ } ->
-      delay_until := !steps + width;
+      delay_until := !now + width;
       delay_by := delay;
       M.record_fault m
         (Printf.sprintf "wakeup-delay window: %d steps, +%d cycles" width
@@ -110,7 +111,7 @@ let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
             (fun () -> List.iter f targets)))
     | Plan.Stall { tid; duration; _ } ->
       if List.mem tid (live_tids ()) then begin
-        Hashtbl.replace stalls tid (!steps + duration);
+        Hashtbl.replace stalls tid (!now + duration);
         M.record_fault m
           (Printf.sprintf "stall of t%d for %d steps" tid duration)
       end
@@ -129,67 +130,42 @@ let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
   in
   let rec fire_triggers () =
     match !pending with
-    | a :: rest when Plan.trigger a <= !steps ->
+    | a :: rest when Plan.trigger a <= !now ->
       pending := rest;
       apply a;
       fire_triggers ()
     | _ -> ()
   in
-  let rec loop () =
-    if !steps >= max_steps then Step_budget
-    else begin
-      fire_triggers ();
-      M.flush_delayed m;
-      M.fire_due_timers m;
-      let rs = M.runnable m in
-      let unstalled =
-        if Hashtbl.length stalls = 0 then rs
-        else
-          List.filter
-            (fun tid ->
-              match Hashtbl.find_opt stalls tid with
-              | Some until when !steps < until -> false
-              | Some _ ->
-                Hashtbl.remove stalls tid;
-                true
-              | None -> true)
-            rs
-      in
-      match (rs, unstalled) with
-      | [], _ -> (
-        let horizon =
-          match (M.next_timer m, M.next_delayed m) with
-          | None, None -> None
-          | (Some _ as a), None | None, (Some _ as a) -> a
-          | Some a, Some b -> Some (min a b)
-        in
-        match horizon with
-        | Some d ->
-          (* Quiescent with a timer or held wakeup outstanding: jump the
-             clock there (discrete-event idle time) and deliver. *)
-          M.advance_clock m ~to_:d;
-          incr steps;
-          loop ()
-        | None ->
-          if !pending <> [] then begin
-            (* Fully blocked but plan triggers remain (e.g. a spurious
-               wakeup aimed at exactly this situation): let steps run
-               forward until they fire. *)
-            incr steps;
-            loop ()
-          end
-          else if M.live m then Deadlock (M.blocked m)
-          else Completed)
-      | _ :: _, [] ->
-        (* Every runnable thread is stalled: the processors idle. *)
-        incr steps;
-        loop ()
-      | _, rs' ->
-        let tid = Firefly.Sched.choose strategy m rs' in
-        ignore (M.step m tid);
-        incr steps;
-        loop ()
-    end
+  let trigger steps =
+    now := steps;
+    fire_triggers ();
+    (* Fully blocked but plan triggers remain (e.g. a spurious wakeup
+       aimed at exactly this situation): let steps run forward until
+       they fire. *)
+    !pending <> []
   in
-  let verdict = loop () in
-  { verdict; steps = !steps; machine = m; injected = M.faults m }
+  (* Stalled threads are not picked; when every runnable thread is
+     stalled, the processors idle. *)
+  let unstalled tid =
+    match Hashtbl.find_opt stalls tid with
+    | Some until when !now < until -> false
+    | Some _ ->
+      Hashtbl.remove stalls tid;
+      true
+    | None -> true
+  in
+  let pick m rs =
+    if Hashtbl.length stalls = 0 then strategy m rs
+    else
+      match List.filter unstalled rs with
+      | [] -> -1
+      | rs' -> strategy m rs'
+  in
+  let r = Firefly.Interleave.drive ~trigger ~max_steps pick m in
+  let verdict =
+    match r.verdict with
+    | Completed -> Completed
+    | Deadlock ts -> Deadlock ts
+    | Step_limit -> Step_budget
+  in
+  { verdict; steps = r.steps; machine = m; injected = M.faults m }

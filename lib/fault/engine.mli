@@ -1,5 +1,7 @@
-(** The chaos engine: a replacement interleaving driver that replays a
-    {!Plan} against a machine-hosted backend.
+(** The chaos engine: replays a {!Plan} against a machine-hosted backend
+    while {!Firefly.Interleave.drive} steps it.  The engine has no
+    stepping loop of its own: it fires the plan's triggers from the
+    loop's trigger hook, and keeps stalled threads out of the loop's pick.
 
     The engine is the only party that perturbs the run: delayed/dropped
     wakeups go through the machine's wakeup-interrupt filter; spurious
@@ -35,7 +37,9 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
 (** [run ~plan build] creates a machine, installs the wakeup filter,
     runs [build] (which must spawn the root workload thread), then
-    drives the interleaving while firing the plan's triggers. *)
+    drives the interleaving while firing the plan's triggers.  A trigger
+    at step [n] fires at the start of the loop's [n]th iteration; clock
+    jumps and idle iterations count as steps. *)
 val run :
   ?strategy:Firefly.Sched.t ->
   ?max_steps:int ->

@@ -12,109 +12,114 @@ type stats = {
   total_steps : int;
 }
 
-(* Run [build] following [prefix]; afterwards keep stepping while the
-   choice is forced (a single runnable thread).  Returns the machine, the
-   full schedule actually taken, and either the terminal verdict or the
-   enabled set at the first real branch point. *)
-let run_prefix ~max_depth ~build prefix =
+(* A search's choice rule: given the thread that took the last step (or
+   -1), the preemptions spent so far and the non-empty enabled set, the
+   threads the schedule may run next.  A single candidate is a forced
+   step; several make a branch point. *)
+type candidates = current:Tid.t -> preemptions:int -> Tid.t list -> Tid.t list
+
+let every_enabled ~current:_ ~preemptions:_ enabled = enabled
+
+(* Run [build] following [prefix] (one tid per step); afterwards keep
+   stepping while the choice is forced.  Returns the steps taken and
+   either the outcome of a terminal or truncated run or, at the first
+   real branch point, one child prefix per candidate.  A preemption is a
+   step that switches away from a thread that could have continued. *)
+let run_prefix ~max_depth ~build ~(candidates : candidates) prefix =
   let m = Machine.create () in
   build m;
-  let taken = ref [] in
-  let steps = ref 0 in
-  let do_step tid =
+  let taken = ref [] and steps = ref 0 in
+  let current = ref (-1) and preemptions = ref 0 in
+  let rec drive prefix =
+    if !steps >= max_depth then done_ Interleave.Step_limit
+    else
+      match Machine.runnable m with
+      | [] -> done_ (Interleave.terminal m)
+      | enabled -> (
+        let cands =
+          candidates ~current:!current ~preemptions:!preemptions enabled
+        in
+        match (prefix, cands) with
+        | tid :: rest, _ ->
+          if not (List.mem tid cands) then
+            failwith "Explore: stale replay prefix";
+          step enabled tid;
+          drive rest
+        | [], [ only ] ->
+          step enabled only;
+          drive []
+        | [], several ->
+          let schedule = List.rev !taken in
+          `Branch (List.map (fun tid -> schedule @ [ tid ]) several))
+  and step enabled tid =
+    if tid <> !current && List.mem !current enabled then incr preemptions;
+    current := tid;
     taken := tid :: !taken;
     incr steps;
     ignore (Machine.step m tid)
+  and done_ verdict =
+    `Done { verdict; machine = m; schedule = List.rev !taken }
   in
-  List.iter
-    (fun tid ->
-      match Machine.status m tid with
-      | Machine.Runnable -> do_step tid
-      | _ -> failwith "Explore: stale replay prefix")
-    prefix;
-  let rec drive () =
-    if !steps >= max_depth then `Truncated
-    else
-      match Machine.runnable m with
-      | [] ->
-        if Machine.live m then
-          `Terminal (Interleave.Deadlock (Machine.blocked m))
-        else `Terminal Interleave.Completed
-      | [ only ] ->
-        do_step only;
-        drive ()
-      | several -> `Branch several
-  in
-  let res = drive () in
-  (m, List.rev !taken, res, !steps)
+  let res = drive prefix in
+  (res, !steps)
 
-let explore ?(max_depth = 4000) ?(max_runs = 200_000) ~build check =
+let add_violation violations = function
+  | Some v -> if not (List.mem v !violations) then violations := v :: !violations
+  | None -> ()
+
+(* The one depth-first walk of the schedule tree: one replay per stack
+   entry, until [visit] returns false, the tree is exhausted or [max_runs]
+   replays have run.  [push children stack] sets the visit order.  The
+   boolean is true iff the tree was exhausted. *)
+let dfs ~max_depth ~max_runs ~build ~candidates ~push visit =
   let terminal = ref 0 and truncated = ref 0 and steps = ref 0 in
-  let error = ref None in
-  (* DFS over schedule prefixes.  Each stack entry is a prefix to expand. *)
-  let stack = ref [ [] ] in
-  let runs = ref 0 in
-  while !error = None && !stack <> [] && !runs < max_runs do
+  let stack = ref [ [] ] and runs = ref 0 and go = ref true in
+  while !go && !stack <> [] && !runs < max_runs do
     match !stack with
     | [] -> ()
-    | prefix :: rest ->
+    | prefix :: rest -> (
       stack := rest;
       incr runs;
-      let m, schedule, res, nsteps = run_prefix ~max_depth ~build prefix in
+      let res, nsteps = run_prefix ~max_depth ~build ~candidates prefix in
       steps := !steps + nsteps;
-      (match res with
-      | `Terminal verdict ->
-        incr terminal;
-        error := check { verdict; machine = m; schedule }
-      | `Truncated ->
-        incr truncated;
-        error := check { verdict = Interleave.Step_limit; machine = m; schedule }
-      | `Branch enabled ->
-        (* Expand: one new prefix per enabled thread.  [schedule] already
-           includes the forced steps taken after the prefix. *)
-        let children = List.map (fun tid -> schedule @ [ tid ]) enabled in
-        stack := List.rev children @ !stack)
+      match res with
+      | `Done o ->
+        (match o.verdict with
+        | Interleave.Step_limit -> incr truncated
+        | Completed | Deadlock _ -> incr terminal);
+        go := visit o
+      | `Branch children -> stack := push children !stack)
   done;
-  ( !error,
-    { terminal_runs = !terminal; truncated_runs = !truncated;
-      total_steps = !steps } )
+  ( { terminal_runs = !terminal; truncated_runs = !truncated;
+      total_steps = !steps },
+    !stack = [] )
+
+let first_error ~max_depth ~max_runs ~build ~candidates ~push check =
+  let error = ref None in
+  let stats, _ =
+    dfs ~max_depth ~max_runs ~build ~candidates ~push (fun o ->
+        error := check o;
+        Option.is_none !error)
+  in
+  (!error, stats)
+
+(* Visits the last enabled thread's subtree first. *)
+let explore ?(max_depth = 4000) ?(max_runs = 200_000) ~build check =
+  first_error ~max_depth ~max_runs ~build ~candidates:every_enabled
+    ~push:List.rev_append check
 
 (* Like [explore], but never stops early: collects the set of distinct
    violation strings over the whole tree, for comparison against the
-   DPOR traversal.  The extra boolean is false iff the [max_runs] budget
-   ran out before the tree was exhausted. *)
+   DPOR traversal. *)
 let explore_all ?(max_depth = 4000) ?(max_runs = 200_000) ~build check =
-  let terminal = ref 0 and truncated = ref 0 and steps = ref 0 in
   let violations = ref [] in
-  let record = function
-    | Some v -> if not (List.mem v !violations) then violations := v :: !violations
-    | None -> ()
+  let stats, complete =
+    dfs ~max_depth ~max_runs ~build ~candidates:every_enabled
+      ~push:List.rev_append (fun o ->
+        add_violation violations (check o);
+        true)
   in
-  let stack = ref [ [] ] in
-  let runs = ref 0 in
-  while !stack <> [] && !runs < max_runs do
-    match !stack with
-    | [] -> ()
-    | prefix :: rest ->
-      stack := rest;
-      incr runs;
-      let m, schedule, res, nsteps = run_prefix ~max_depth ~build prefix in
-      steps := !steps + nsteps;
-      (match res with
-      | `Terminal verdict ->
-        incr terminal;
-        record (check { verdict; machine = m; schedule })
-      | `Truncated ->
-        incr truncated;
-        record (check { verdict = Interleave.Step_limit; machine = m; schedule })
-      | `Branch enabled ->
-        let children = List.map (fun tid -> schedule @ [ tid ]) enabled in
-        stack := List.rev children @ !stack)
-  done;
-  ( List.sort_uniq String.compare !violations,
-    { terminal_runs = !terminal; truncated_runs = !truncated;
-      total_steps = !steps },
-    !stack = [] )
+  (List.sort_uniq String.compare !violations, stats, complete)
 
 (* ---- dynamic partial-order reduction (sleep sets + backtrack sets) ----
 
@@ -183,10 +188,7 @@ let explore_dpor ?(max_depth = 4000) ?(max_runs = 1_000_000)
   let executions = ref 0 and sleep_blocked = ref 0 in
   let truncated = ref 0 and steps = ref 0 in
   let peak = ref 0 in
-  let record = function
-    | Some v -> if not (List.mem v !violations) then violations := v :: !violations
-    | None -> ()
-  in
+  let record = add_violation violations in
   let schedule () = List.rev_map (fun nd -> nd.d_chosen) !path in
   let indep_against fp entries =
     List.filter
@@ -243,11 +245,10 @@ let explore_dpor ?(max_depth = 4000) ?(max_runs = 1_000_000)
       else
         match Machine.runnable m with
         | [] ->
-          let verdict =
-            if Machine.live m then Interleave.Deadlock (Machine.blocked m)
-            else Interleave.Completed
-          in
-          record (check { verdict; machine = m; schedule = schedule () })
+          record
+            (check
+               { verdict = Interleave.terminal m; machine = m;
+                 schedule = schedule () })
         | enabled -> (
           let forced =
             if !plen < frozen then Some prefix.(!plen) else None
@@ -394,35 +395,25 @@ let explore_dpor_parallel ?(max_depth = 4000) ?(max_runs = 1_000_000)
     ?(split_branches = 2) ?(jobs = 1) ?progress ?telemetry ~build check =
   let pre_violations = ref [] in
   let pre = ref dpor_stats_zero in
-  let record = function
-    | Some v ->
-      if not (List.mem v !pre_violations) then
-        pre_violations := v :: !pre_violations
-    | None -> ()
-  in
   let frontier = ref [ [] ] in
   for _ = 1 to split_branches do
     frontier :=
       List.concat_map
         (fun p ->
-          let m, schedule, res, nsteps = run_prefix ~max_depth ~build p in
+          let res, nsteps =
+            run_prefix ~max_depth ~build ~candidates:every_enabled p
+          in
           pre := { !pre with dpor_steps = !pre.dpor_steps + nsteps };
           match res with
-          | `Branch enabled ->
-            List.map (fun tid -> schedule @ [ tid ]) enabled
-          | `Terminal verdict ->
+          | `Branch children -> children
+          | `Done o ->
             (* The whole program ends before the split depth: check it
                here, once; there is no subtree to hand to a worker. *)
-            pre := { !pre with executions = !pre.executions + 1 };
-            record (check { verdict; machine = m; schedule });
-            []
-          | `Truncated ->
+            let cut = match o.verdict with Step_limit -> 1 | _ -> 0 in
             pre :=
               { !pre with executions = !pre.executions + 1;
-                dpor_truncated = !pre.dpor_truncated + 1 };
-            record
-              (check
-                 { verdict = Interleave.Step_limit; machine = m; schedule });
+                dpor_truncated = !pre.dpor_truncated + cut };
+            add_violation pre_violations (check o);
             [])
         !frontier
   done;
@@ -485,91 +476,17 @@ let explore_dpor_parallel ?(max_depth = 4000) ?(max_runs = 1_000_000)
    preemptions, so the polynomially-sized bounded space finds them where
    plain DFS/BFS over all interleavings drowns. *)
 
-(* Replay [prefix] (a list of chosen tids, one per choice point), then
-   report the next choice point or the terminal verdict. *)
-let run_prefix_bounded ~max_depth ~max_preemptions ~build prefix =
-  let m = Machine.create () in
-  build m;
-  let steps = ref 0 in
-  let budget = ref max_preemptions in
-  let current = ref None in
-  let remaining = ref prefix in
-  let consumed = ref [] in
-  let do_step tid =
-    incr steps;
-    current := Some tid;
-    ignore (Machine.step m tid)
-  in
-  let rec drive () =
-    if !steps >= max_depth then `Truncated
-    else
-      match Machine.runnable m with
-      | [] ->
-        if Machine.live m then
-          `Terminal (Interleave.Deadlock (Machine.blocked m))
-        else `Terminal Interleave.Completed
-      | enabled -> (
-        let cur_enabled =
-          match !current with
-          | Some t when List.mem t enabled -> Some t
-          | _ -> None
-        in
-        let candidates =
-          match cur_enabled with
-          | Some t when !budget <= 0 -> [ t ]
-          | Some t -> t :: List.filter (fun x -> x <> t) enabled
-          | None -> enabled
-        in
-        match candidates with
-        | [ only ] ->
-          do_step only;
-          drive ()
-        | _ -> (
-          match !remaining with
-          | choice :: rest ->
-            remaining := rest;
-            consumed := choice :: !consumed;
-            if not (List.mem choice candidates) then
-              failwith "Explore: stale bounded replay prefix";
-            (match cur_enabled with
-            | Some t when choice <> t -> decr budget
-            | _ -> ());
-            do_step choice;
-            drive ()
-          | [] -> `Choice candidates))
-  in
-  let res = drive () in
-  (m, List.rev !consumed, res, !steps)
+(* The current thread runs on while enabled; switching away from it
+   costs one of [max_preemptions]; when it is not enabled (it blocked or
+   finished) every enabled thread is a free choice. *)
+let within_preemptions max_preemptions ~current ~preemptions enabled =
+  if not (List.mem current enabled) then enabled
+  else if preemptions >= max_preemptions then [ current ]
+  else current :: List.filter (fun t -> t <> current) enabled
 
+(* Visits the current thread's subtree first. *)
 let explore_bounded ?(max_preemptions = 2) ?(max_depth = 4000)
     ?(max_runs = 200_000) ~build check =
-  let terminal = ref 0 and truncated = ref 0 and steps = ref 0 in
-  let error = ref None in
-  let stack = ref [ [] ] in
-  let runs = ref 0 in
-  while !error = None && !stack <> [] && !runs < max_runs do
-    match !stack with
-    | [] -> ()
-    | prefix :: rest ->
-      stack := rest;
-      incr runs;
-      let m, choices, res, nsteps =
-        run_prefix_bounded ~max_depth ~max_preemptions ~build prefix
-      in
-      steps := !steps + nsteps;
-      (match res with
-      | `Terminal verdict ->
-        incr terminal;
-        error := check { verdict; machine = m; schedule = choices }
-      | `Truncated ->
-        incr truncated;
-        error :=
-          check { verdict = Interleave.Step_limit; machine = m;
-                  schedule = choices }
-      | `Choice candidates ->
-        let children = List.map (fun tid -> choices @ [ tid ]) candidates in
-        stack := children @ !stack)
-  done;
-  ( !error,
-    { terminal_runs = !terminal; truncated_runs = !truncated;
-      total_steps = !steps } )
+  first_error ~max_depth ~max_runs ~build
+    ~candidates:(within_preemptions max_preemptions)
+    ~push:( @ ) check

@@ -3,8 +3,13 @@
     Continuations are one-shot, so the machine cannot be forked; instead
     the program is re-run from scratch under each schedule prefix (the
     standard replay technique of systematic concurrency testers).  The
-    state space is a tree of scheduling choices; [explore] walks it depth
-    first up to a depth bound.
+    state space is a tree of scheduling choices.  {!explore},
+    {!explore_all} and {!explore_bounded} are one depth-first walk of it
+    up to a depth bound, differing in which threads may run at a choice
+    point, in visit order and in when they stop; the DPOR frontier split
+    replays its prefixes with the same runner.  A run that reaches
+    quiescence ends with {!Interleave.terminal}.  The explorer fires no
+    timers: a run blocked on a timed wait alone is a deadlock.
 
     Complexity is exponential in program length — use it on the small
     scenarios of the model-checking experiments (2-4 threads, a handful of
@@ -119,8 +124,9 @@ val explore_dpor_parallel :
     involuntary switches anywhere.  Most synchronization bugs need one or
     two preemptions, so this polynomial space finds them where exhaustive
     interleaving search drowns; it is the engine behind experiment E5's
-    minimal stranding schedule.  In [outcome], [schedule] holds only the
-    choice-point decisions, not every step. *)
+    minimal stranding schedule.  Children are visited current thread
+    first (plain {!explore} visits the last enabled thread first); as
+    there, [schedule] in [outcome] holds every step. *)
 val explore_bounded :
   ?max_preemptions:int ->
   ?max_depth:int ->

@@ -890,23 +890,16 @@ let footprints_conflict f1 f2 =
 let set_profiling m b = m.profiling <- b
 let profiling m = m.profiling
 
-(* ---- timers (driver side) ----
+(* ---- timed events (driver side) ----
 
-   A timer is armed by the owning thread (Probe.set_timeout) and fired by
-   the driver between steps once the machine clock passes its deadline:
+   Two kinds of event wait on the machine clock.  A timer is armed by the
+   owning thread (Probe.set_timeout): once the clock passes its deadline
    the victim is woken exactly as by [Ops.ready] (honouring the
    wakeup-waiting switch) and its [timer_fired] flag is set; the victim
    itself then dequeues and linearizes the timed outcome under the package
-   lock.  When nothing is runnable but timers remain, the driver advances
-   the clock to the earliest deadline — discrete-event idle time. *)
-
-let timers_pending m = Hashtbl.length m.timers > 0
-
-let next_timer m =
-  Hashtbl.fold
-    (fun _ d acc ->
-      match acc with None -> Some d | Some d' -> Some (min d d'))
-    m.timers None
+   lock.  A held wakeup is one the fault filter delayed.  Drivers deliver
+   due events between steps; when nothing is runnable, they jump the clock
+   to the next one — discrete-event idle time. *)
 
 let fire_timer m tid =
   Hashtbl.remove m.timers tid;
@@ -928,28 +921,10 @@ let fire_due_timers m =
     List.iter (fire_timer m) (List.sort compare due)
   end
 
-let advance_to_next_timer m =
-  match next_timer m with
-  | None -> false
-  | Some d ->
-    if d > m.total_cycles then m.total_cycles <- d;
-    fire_due_timers m;
-    true
-
-(* ---- fault injection (driver side) ---- *)
-
-let set_wake_filter m f = m.wake_filter <- f
-
-let delayed_pending m = match m.delayed with [] -> false | _ :: _ -> true
-
-let next_delayed m =
-  List.fold_left
-    (fun acc (d, _, _) ->
-      match acc with None -> Some d | Some d' -> Some (min d d'))
-    None m.delayed
-
 let flush_delayed m =
-  if delayed_pending m then begin
+  match m.delayed with
+  | [] -> ()
+  | _ :: _ ->
     let due, rest = List.partition (fun (d, _, _) -> d <= m.total_cycles) m.delayed in
     m.delayed <- rest;
     List.iter
@@ -968,9 +943,23 @@ let flush_delayed m =
           record_fault m
             (Printf.sprintf "stale delayed wakeup of t%d discarded" target))
       (List.sort compare due)
+
+let fire_due_events m =
+  flush_delayed m;
+  fire_due_timers m
+
+let advance_to_next_event m =
+  let next = Hashtbl.fold (fun _ d acc -> min d acc) m.timers max_int in
+  let next = List.fold_left (fun acc (d, _, _) -> min d acc) next m.delayed in
+  next < max_int
+  && begin
+    if next > m.total_cycles then m.total_cycles <- next;
+    true
   end
 
-let advance_clock m ~to_ = if to_ > m.total_cycles then m.total_cycles <- to_
+(* ---- fault injection (driver side) ---- *)
+
+let set_wake_filter m f = m.wake_filter <- f
 
 let kill m tid ~reason =
   let t = thread m tid in

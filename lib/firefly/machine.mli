@@ -296,7 +296,7 @@ module Probe : sig
 
       Host-side bookkeeping: arming charges no cycle and adds no
       scheduling point.  The deadline takes effect when the driver fires
-      due timers between steps ({!fire_due_timers}); the victim is woken
+      due events between steps ({!fire_due_events}); the victim is woken
       like any other wake and consumes {!take_timeout_fired} to tell
       expiry from a Signal/V wake. *)
 
@@ -471,45 +471,32 @@ val prof_events : t -> prof_event list
 
 val prof_event_count : t -> int
 
-(** {1 Timers (driver side)}
+(** {1 Timed events (driver side)}
 
-    Drivers call {!fire_due_timers} between steps; when nothing is
-    runnable but timers remain, {!advance_to_next_timer} jumps the clock
-    to the earliest deadline (discrete-event idle time).  With no timers
-    armed both are no-ops, so timer-free runs are unchanged. *)
+    Timers ({!Probe.set_timeout}) and wakeups held back by the fault filter
+    ({!Delay}) both wait on the machine clock.  Drivers call
+    {!fire_due_events} between steps; when nothing is runnable they call
+    {!advance_to_next_event} to jump the clock to the next one
+    (discrete-event idle time).  With no timer armed and no wakeup held
+    both are no-ops, so event-free runs are unchanged. *)
 
-val timers_pending : t -> bool
+(** Deliver every held wakeup whose due-cycle has passed, then fire every
+    timer whose deadline has: each victim is woken (honouring the
+    wakeup-waiting switch) and a timer's victim gets its fired flag.  A
+    held wakeup whose target has moved on (its wake episode ended via a
+    timer or another wake) is stale and is discarded — recorded, never
+    delivered, so it cannot spuriously wake an unrelated block. *)
+val fire_due_events : t -> unit
 
-(** Earliest armed deadline, in cycles. *)
-val next_timer : t -> int option
-
-(** Fire every timer whose deadline has passed: wake the victim (honouring
-    the wakeup-waiting switch) and set its fired flag. *)
-val fire_due_timers : t -> unit
-
-(** If any timer is armed: advance the clock to the earliest deadline,
-    fire it, and return [true]. *)
-val advance_to_next_timer : t -> bool
+(** If a timer is armed or a wakeup held: advance the clock to the
+    earliest of them (never backwards) and return [true].  The event is
+    delivered by the next {!fire_due_events}. *)
+val advance_to_next_event : t -> bool
 
 (** {1 Fault injection (driver side)} *)
 
 (** Install (or remove) the wakeup-interrupt filter. *)
 val set_wake_filter : t -> (Threads_util.Tid.t -> wake_verdict) option -> unit
-
-(** Are any delayed wakeups still undelivered? *)
-val delayed_pending : t -> bool
-
-(** Earliest due-cycle among undelivered delayed wakeups. *)
-val next_delayed : t -> int option
-
-(** Deliver every delayed wakeup whose due-cycle has passed.  A wakeup
-    whose target has moved on (its wake episode ended via a timer or
-    another wake) is stale and is discarded — recorded, never delivered,
-    so it cannot spuriously wake an unrelated block. *)
-val flush_delayed : t -> unit
-
-(** Jump the clock forward (for delivering delayed wakeups at idle). *)
-val advance_clock : t -> to_:int -> unit
 
 (** [kill m t ~reason] crash-stops thread [t]: it fails with
     {!Crash_stopped} {e without unwinding} — finalizers do not run, held

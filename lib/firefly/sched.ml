@@ -39,7 +39,3 @@ let replay prefix fallback =
         failwith
           (Printf.sprintf "Sched.replay: t%d not runnable at replay point" tid);
       tid
-
-let choose strategy m runnable =
-  assert (match runnable with [] -> false | _ :: _ -> true);
-  strategy m runnable

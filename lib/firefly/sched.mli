@@ -19,8 +19,5 @@ val round_robin : unit -> t
 val prefer_interrupts : t -> t
 
 (** [replay prefix fallback] follows the recorded tid choices in [prefix],
-    then defers to [fallback].  Used by the exhaustive explorer. *)
+    then defers to [fallback]: a test forces a schedule prefix with it. *)
 val replay : Threads_util.Tid.t list -> t -> t
-
-(** [choose strategy machine runnable] picks from a non-empty list. *)
-val choose : t -> Machine.t -> Threads_util.Tid.t list -> Threads_util.Tid.t

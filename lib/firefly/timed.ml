@@ -71,6 +71,7 @@ let run ~processors ?(seed = 0) ?(cost = Cost.default) ?(max_cycles = 50_000_000
   let rec loop () =
     if (min_proc ()).clock > max_cycles then Cycle_limit
     else begin
+      Machine.fire_due_events m;
       let p = min_proc () in
       match p.cur with
       | Some tid -> begin
@@ -116,7 +117,15 @@ let run ~processors ?(seed = 0) ?(cost = Cost.default) ?(max_cycles = 50_000_000
           in
           (match busy_clocks with
           | [] ->
-            if Machine.live m then Deadlock (Machine.blocked m)
+            (* Every processor idles: jump to the next timed event, and
+               let every processor clock idle through the same span. *)
+            let before = Machine.total_cycles m in
+            if Machine.advance_to_next_event m then begin
+              let idle = Machine.total_cycles m - before in
+              Array.iter (fun q -> q.clock <- q.clock + idle) procs;
+              loop ()
+            end
+            else if Machine.live m then Deadlock (Machine.blocked m)
             else Completed
           | cs ->
             let target = List.fold_left min max_int cs in

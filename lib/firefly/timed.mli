@@ -6,7 +6,15 @@
     one instruction of its current thread, preempts it at slice expiry (if
     another thread is waiting), or picks the highest-priority waiting
     thread.  Idle processors' clocks chase the busy ones, so cross-
-    processor instruction order approximates true timing order. *)
+    processor instruction order approximates true timing order.
+
+    Timed events follow the same rule as in {!Interleave}: due timers and
+    held wakeups are delivered before every decision, and when every
+    processor idles the run jumps to the next event instead of ending.  A
+    timed wait's deadline ([TimedP], [TimedWait]) is measured against the
+    machine clock ({!Machine.total_cycles}: the cycles executed by all
+    processors together, plus idle jumps), not against any processor's
+    clock.  A jump of [n] cycles moves every processor clock by [n]. *)
 
 type verdict = Completed | Deadlock of Threads_util.Tid.t list | Cycle_limit
 

@@ -156,6 +156,38 @@ let test_timed_threads_package () =
   Alcotest.(check bool) "conforms under timed driver" true
     (Threads_model.Conformance.ok rep)
 
+(* A thread holding a semaphore times out on a second TimedP.  Nothing
+   else runs, so the driver must jump the clock to the deadline: both
+   drivers raise Timed_out and complete, neither reports a deadlock. *)
+let expiring_timed_p sync =
+  let module S =
+    (val sync : Taos_threads.Sync_intf.SYNC
+       with type thread = Threads_util.Tid.t)
+  in
+  let s = S.semaphore () in
+  S.p s;
+  match S.timed_p s ~timeout:100 with
+  | () -> false
+  | exception Taos_threads.Sync_intf.Timed_out -> true
+
+let test_timed_p_expires () =
+  let timed_out = ref false in
+  let body sync = timed_out := expiring_timed_p sync in
+  let r = Taos_threads.Api.run body in
+  Alcotest.(check bool) "interleave: completed" true
+    (r.Firefly.Interleave.verdict = Firefly.Interleave.Completed);
+  Alcotest.(check bool) "interleave: timed out" true !timed_out;
+  Alcotest.(check int) "interleave: clock" 110
+    (M.total_cycles r.Firefly.Interleave.machine);
+  timed_out := false;
+  let r = Taos_threads.Api.run_timed ~processors:1 body in
+  Alcotest.(check bool) "timed: completed" true
+    (r.Firefly.Timed.verdict = Firefly.Timed.Completed);
+  Alcotest.(check bool) "timed: timed out" true !timed_out;
+  Alcotest.(check int) "timed: machine clock" 110
+    (M.total_cycles r.Firefly.Timed.machine);
+  Alcotest.(check int) "timed: sim cycles" 210 r.Firefly.Timed.sim_cycles
+
 let suite =
   ( "timed",
     [
@@ -200,5 +232,8 @@ let suite =
   let name, cases = suite in
   ( name,
     cases
-    @ [ Alcotest.test_case "timed determinism" `Quick test_timed_determinism ]
-  )
+    @ [
+        Alcotest.test_case "timed determinism" `Quick test_timed_determinism;
+        Alcotest.test_case "TimedP expires under both drivers" `Quick
+          test_timed_p_expires;
+      ] )

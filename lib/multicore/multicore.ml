@@ -279,6 +279,17 @@ module Sync = struct
   let v s =
     unlock_ev s ~ev:(fun () -> Some (Events.v ~self:(self ()).tid ~s:s.id))
 
+  (* The Raise of an untraced run consumes the pending alert late, under
+     a fresh nub hold.  A traced run must not: its event already consumed
+     it under the hold that decided the outcome, and an Alert that landed
+     since is on the record and must survive for the next TestAlert. *)
+  let consume_untraced me =
+    if not (traced ()) then begin
+      Spin.acquire nub;
+      Hashtbl.remove pending me.tid;
+      Spin.release nub
+    end
+
   let alert_p s =
     let me = self () in
     let ev () = Some (Events.alert_p ~self:me.tid ~s:s.id ~alerted:false) in
@@ -289,9 +300,7 @@ module Sync = struct
     match lock s ~alertable:true ~ev ~on_alerted with
     | `Acquired -> ()
     | `Alerted ->
-      Spin.acquire nub;
-      Hashtbl.remove pending me.tid;
-      Spin.release nub;
+      consume_untraced me;
       raise Alerted
 
   (* ---- condition variables ---- *)
@@ -378,9 +387,7 @@ module Sync = struct
     log_lock m.id true;
     ignore (Atomic.fetch_and_add c.interest (-1));
     if raise_it then begin
-      Spin.acquire nub;
-      Hashtbl.remove pending me.tid;
-      Spin.release nub;
+      consume_untraced me;
       raise Alerted
     end
 

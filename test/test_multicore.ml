@@ -155,6 +155,54 @@ let test_signal_wakes_enough () =
   List.iter S.join ws;
   Alcotest.(check int) "all tickets taken" 0 !tickets
 
+(* Alert against Raise.  The waiter loops on an alertable wait that only
+   an Alert ends (AlertP on a held semaphore, or AlertWait on a condition
+   nobody signals), each followed by TestAlert, while the main thread
+   keeps alerting it, so Alerts contend for the nub with each Raise.  An
+   Alert whose event lands after the Raise's must survive for the next
+   TestAlert; the traced run is checked against the spec as a whole. *)
+let alert_vs_raise_run ~rounds ~wait =
+  let module MC = Threads_multicore.Multicore in
+  let (), events =
+    MC.traced_run (fun () ->
+        let sem = S.semaphore () in
+        let m = S.mutex () and c = S.condition () in
+        S.p sem;
+        let finished = Atomic.make false in
+        let w =
+          S.fork (fun () ->
+              for _ = 1 to rounds do
+                (try
+                   match wait with
+                   | `P -> S.alert_p sem
+                   | `Wait -> S.with_lock m (fun () -> S.alert_wait m c)
+                 with MC.Alerted -> ());
+                ignore (S.test_alert ())
+              done;
+              Atomic.set finished true)
+        in
+        while not (Atomic.get finished) do
+          S.alert w;
+          for _ = 1 to 50 do
+            Domain.cpu_relax ()
+          done
+        done;
+        S.join w)
+  in
+  Threads_model.Conformance.ok
+    (Threads_model.Conformance.check Spec_core.Threads_interface.final
+       events)
+
+let test_alert_vs_raise () =
+  List.iter
+    (fun (name, wait) ->
+      let failed = ref 0 in
+      for _ = 1 to 10 do
+        if not (alert_vs_raise_run ~rounds:200 ~wait) then incr failed
+      done;
+      Alcotest.(check int) (name ^ ": runs violating the spec") 0 !failed)
+    [ ("AlertP", `P); ("AlertWait", `Wait) ]
+
 let suite =
   ( "multicore",
     [
@@ -167,4 +215,5 @@ let suite =
       Alcotest.test_case "alert_p" `Quick test_alert_p;
       Alcotest.test_case "test_alert" `Quick test_test_alert;
       Alcotest.test_case "signal wakes enough" `Quick test_signal_wakes_enough;
+      Alcotest.test_case "alert vs raise" `Quick test_alert_vs_raise;
     ] )

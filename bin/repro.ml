@@ -1353,7 +1353,7 @@ let progcheck_catalogue () =
     Threads_harness.Scenarios.nelson ();
     Threads_harness.Scenarios.semaphore_pingpong () ]
 
-(* The clause-level pass alone (what lint-spec used to do). *)
+(* The clause-level pass alone. *)
 let lint_only name iface locs =
   let findings = Lint.lint ~locs iface in
   List.iter
@@ -1706,7 +1706,7 @@ let check_spec_cmd =
   in
   let lint_only_flag =
     Arg.(value & flag & info [ "lint-only" ]
-           ~doc:"Run only the clause-level linter (the old lint-spec)")
+           ~doc:"Run only the clause-level linter")
   in
   let mutants =
     Arg.(value & flag & info [ "mutants" ]
@@ -1765,29 +1765,6 @@ let check_spec_cmd =
     Term.(
       const run $ file $ lint_only_flag $ mutants $ crosscheck $ demos
       $ format_arg $ out_arg)
-
-(* Deprecated alias: lint-spec = check-spec --lint-only. *)
-let lint_spec_cmd =
-  let file =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE"
-           ~doc:
-             "Specification file in the concrete syntax; defaults to the \
-              built-in Threads interface (specs/threads.lspec)")
-  in
-  let run file =
-    Printf.eprintf
-      "note: lint-spec is deprecated; use check-spec --lint-only (or plain \
-       check-spec for the full static verifier)\n";
-    let name, src = read_spec file in
-    let iface, locs = parse_spec name src in
-    lint_only name iface locs
-  in
-  Cmd.v
-    (Cmd.info "lint-spec"
-       ~doc:
-         "Deprecated alias for $(b,check-spec --lint-only): clause-level \
-          linting of an interface specification")
-    Term.(const run $ file)
 
 (* ---- perf-trajectory regression gate ---- *)
 
@@ -2057,7 +2034,6 @@ let command_summaries =
     ("analyze", "dynamic race and lock-order analysis (or --mutants)");
     ("profile", "causal profiler: critical path, blockers, wait forensics");
     ("check-spec", "static spec verifier: lint + abstract model check");
-    ("lint-spec", "deprecated alias for check-spec --lint-only");
     ("bench-diff", "compare two bench records and gate perf regressions");
     ("help", "print this subcommand summary") ]
 
@@ -2096,5 +2072,5 @@ let () =
        (Cmd.group ~default info
           [ list_cmd; run_cmd; all_cmd; spec_cmd; trace_cmd; metrics_cmd;
             conform_cmd; diff_cmd; chaos_cmd; generate_cmd; explore_cmd;
-            analyze_cmd; profile_cmd; check_spec_cmd; lint_spec_cmd;
+            analyze_cmd; profile_cmd; check_spec_cmd;
             bench_diff_cmd; help_cmd ]))

@@ -110,16 +110,30 @@ let uniproc_build () =
   let module S = (val Taos_threads.Uniproc.make ()) in
   (module S : Sync_intf.SYNC)
 
-let sim_run ~seed wl = fst (machine_run ~record:false ~seed taos_build wl)
-
-(* The cooperative backend runs under a random strategy here (its own
-   default is round-robin) so different seeds exercise different wake
-   orders, like the other simulator-hosted backends. *)
-let uniproc_run ~seed wl =
-  fst
-    (machine_run
-       ~strategy:(Firefly.Sched.random seed)
-       ~record:false ~seed uniproc_build wl)
+(* A simulator-hosted backend: every entry point runs [build]'s
+   implementation through [machine_run] (under [strategy seed] when
+   given), and [chaos] hosts it under the fault engine too. *)
+let simulated ~name ~description ~conforming ~supports ?strategy ~chaos build
+    =
+  let run ?profile ~record ~seed wl =
+    machine_run
+      ?strategy:(Option.map (fun s -> s seed) strategy)
+      ?profile ~record ~seed build wl
+  in
+  {
+    name;
+    description;
+    real_parallelism = false;
+    conforming;
+    supports;
+    run = (fun ~seed wl -> fst (run ~record:false ~seed wl));
+    instrument = Machine_access (fun ~seed wl -> run ~record:true ~seed wl);
+    profile = Some (fun ~seed wl -> run ~profile:true ~record:false ~seed wl);
+    chaos =
+      (if chaos then
+         Some (fun ~seed ~plan wl -> chaos_run ~seed ~plan build wl)
+       else None);
+  }
 
 (* The rejected design as a full backend: the two-layer Taos mutex,
    semaphore and alert machinery, with conditions represented by a binary
@@ -161,7 +175,6 @@ let naive_make pkg : (module Sync_intf.SYNC) =
   end)
 
 let naive_build () = naive_make (Taos_threads.Pkg.create ())
-let naive_run ~seed wl = fst (machine_run ~record:false ~seed naive_build wl)
 
 (* Hoare monitors as the mutex/condition pair (conditions bind to their
    monitor at first wait), Taos semaphores alongside; no alerting. *)
@@ -209,7 +222,6 @@ let hoare_make pkg : (module Sync_intf.SYNC) =
   end)
 
 let hoare_build () = hoare_make (Taos_threads.Pkg.create ())
-let hoare_run ~seed wl = fst (machine_run ~record:false ~seed hoare_build wl)
 
 let multicore_run ~seed:_ (wl : Workload.t) =
   let module MC = Threads_multicore.Multicore in
@@ -255,75 +267,26 @@ let multicore_lock_run ~seed:_ (wl : Workload.t) =
 
 let all =
   [
-    {
-      name = "sim";
-      description = "Firefly simulator, Taos two-layer implementation";
-      real_parallelism = false;
-      conforming = true;
-      supports = [ Workload.Alerts; Workload.Timeouts; Workload.Interrupts ];
-      run = sim_run;
-      instrument =
-        Machine_access (fun ~seed wl -> machine_run ~record:true ~seed taos_build wl);
-      profile =
-        Some
-          (fun ~seed wl ->
-            machine_run ~profile:true ~record:false ~seed taos_build wl);
-      chaos = Some (fun ~seed ~plan wl -> chaos_run ~seed ~plan taos_build wl);
-    };
-    {
-      name = "uniproc";
-      description = "cooperative uniprocessor implementation";
-      real_parallelism = false;
-      conforming = true;
-      supports = [ Workload.Alerts; Workload.Timeouts; Workload.Interrupts ];
-      run = uniproc_run;
-      instrument =
-        Machine_access
-          (fun ~seed wl ->
-            machine_run
-              ~strategy:(Firefly.Sched.random seed)
-              ~record:true ~seed uniproc_build wl);
-      profile =
-        Some
-          (fun ~seed wl ->
-            machine_run
-              ~strategy:(Firefly.Sched.random seed)
-              ~profile:true ~record:false ~seed uniproc_build wl);
-      chaos =
-        Some (fun ~seed ~plan wl -> chaos_run ~seed ~plan uniproc_build wl);
-    };
-    {
-      name = "naive";
-      description = "condition variables as binary semaphores (E5 baseline)";
-      real_parallelism = false;
-      conforming = false;
-      supports = [ Workload.Interrupts ];
-      run = naive_run;
-      instrument =
-        Machine_access
-          (fun ~seed wl -> machine_run ~record:true ~seed naive_build wl);
-      profile =
-        Some
-          (fun ~seed wl ->
-            machine_run ~profile:true ~record:false ~seed naive_build wl);
-      chaos = None;
-    };
-    {
-      name = "hoare";
-      description = "Hoare monitors: signal hands over the mutex (E8 baseline)";
-      real_parallelism = false;
-      conforming = false;
-      supports = [ Workload.Interrupts ];
-      run = hoare_run;
-      instrument =
-        Machine_access
-          (fun ~seed wl -> machine_run ~record:true ~seed hoare_build wl);
-      profile =
-        Some
-          (fun ~seed wl ->
-            machine_run ~profile:true ~record:false ~seed hoare_build wl);
-      chaos = None;
-    };
+    simulated ~name:"sim"
+      ~description:"Firefly simulator, Taos two-layer implementation"
+      ~conforming:true
+      ~supports:[ Workload.Alerts; Workload.Timeouts; Workload.Interrupts ]
+      ~chaos:true taos_build;
+    (* The cooperative backend runs under a random strategy here (its own
+       default is round-robin) so different seeds exercise different wake
+       orders, like the other simulator-hosted backends. *)
+    simulated ~name:"uniproc"
+      ~description:"cooperative uniprocessor implementation" ~conforming:true
+      ~supports:[ Workload.Alerts; Workload.Timeouts; Workload.Interrupts ]
+      ~strategy:Firefly.Sched.random ~chaos:true uniproc_build;
+    simulated ~name:"naive"
+      ~description:"condition variables as binary semaphores (E5 baseline)"
+      ~conforming:false ~supports:[ Workload.Interrupts ] ~chaos:false
+      naive_build;
+    simulated ~name:"hoare"
+      ~description:"Hoare monitors: signal hands over the mutex (E8 baseline)"
+      ~conforming:false ~supports:[ Workload.Interrupts ] ~chaos:false
+      hoare_build;
     {
       name = "multicore";
       description = "OCaml 5 domains with atomic fast paths";

@@ -8,7 +8,9 @@
    point.  And the E10 sweep the benchmark times is pinned by exact
    totals (steps, cycles) and by one contended run's counters and obs
    snapshot, so a later hot-path change cannot shift a schedule
-   silently. *)
+   silently.  The Nub spin-lock's wait loop gets its own pins: a chaos
+   run with every host-side stream on, a spinner crash-stopped mid-wait
+   and a spinner whose code after the winning TAS raises. *)
 
 module M = Firefly.Machine
 module Ops = Firefly.Machine.Ops
@@ -318,6 +320,188 @@ let test_contended_pinned () =
         "g sem#1.queue_hwm 1";
       ]
 
+(* ---- the Nub spin-lock's wait loop, every stream on ----
+
+   A contended run under Fault.Engine (chaos active, so every failed TAS
+   after the first is preceded by a backoff tick), with access recording,
+   profiling and footprints on.  Everything a spin step can touch is
+   pinned: schedule length, cycles, instructions, the spin counters, the
+   access stream, the profile stream and each step's footprint. *)
+
+module Mutex = Taos_threads.Mutex
+
+let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let kind_tag = function
+  | M.A_load -> "load"
+  | M.A_store -> "store"
+  | M.A_tas won -> if won then "tas+" else "tas-"
+  | M.A_clear -> "clear"
+  | M.A_faa -> "faa"
+  | M.A_lock_acq -> "acq"
+  | M.A_lock_att -> "att"
+  | M.A_lock_rel -> "rel"
+  | M.A_spawn t -> Printf.sprintf "spawn%d" t
+  | M.A_join t -> Printf.sprintf "join%d" t
+
+let footprint_line fp =
+  String.concat ","
+    (List.map (fun (a, w) -> Printf.sprintf "%d%s" a (if w then "w" else "r")) fp)
+
+(* Three workers take one mutex eight times each; a contention burst
+   from an injector thread hammers the Nub spin-lock meanwhile. *)
+let mutex_workers m =
+  M.set_recording m true;
+  M.set_profiling m true;
+  M.set_footprints m true;
+  ignore
+    (M.spawn_root m (fun () ->
+         let pkg = Taos_threads.Pkg.create () in
+         let mu = Mutex.create pkg in
+         let worker () =
+           for _ = 1 to 8 do
+             Mutex.acquire mu;
+             Ops.tick 3;
+             Mutex.release mu
+           done
+         in
+         let ws = List.init 3 (fun _ -> Ops.spawn worker) in
+         List.iter Ops.join ws))
+
+let test_chaos_spin_pinned () =
+  let fps = ref [] in
+  let strategy =
+    let inner = Firefly.Sched.random 5 in
+    fun m rs ->
+      fps := footprint_line (M.last_footprint m) :: !fps;
+      inner m rs
+  in
+  let plan =
+    {
+      Plan.id = 0;
+      actions = [ Plan.Contention_burst { after = 20; count = 30 } ];
+    }
+  in
+  let o = Engine.run ~seed:5 ~plan ~strategy mutex_workers in
+  let m = o.Engine.machine in
+  fps := footprint_line (M.last_footprint m) :: !fps;
+  let spin_obs =
+    List.filter
+      (fun (k, _) ->
+        String.ends_with ~suffix:".spin_iters" k
+        || String.ends_with ~suffix:".spin_cycles" k)
+      (I.snapshot (M.obs m)).I.counters
+  in
+  let accs =
+    List.map
+      (fun (a : M.access) ->
+        Printf.sprintf "%d %d %s" a.M.a_tid a.M.a_addr (kind_tag a.M.a_kind))
+      (M.accesses m)
+  in
+  Alcotest.(check string) "verdict" "completed"
+    (Format.asprintf "%a" Engine.pp_verdict o.Engine.verdict);
+  Alcotest.(check (list int))
+    "steps, cycles, instructions" [ 574; 1315; 396 ]
+    [ o.Engine.steps; M.total_cycles m; M.total_instructions m ];
+  Alcotest.(check int) "spin.iterations" 69 (M.counter m "spin.iterations");
+  Alcotest.(check (list (pair string int))) "spin obs counters"
+    [ ("mutex#1.spin_cycles", 1445); ("mutex#1.spin_iters", 41) ]
+    spin_obs;
+  Alcotest.(check (pair int string))
+    "access stream: length, digest"
+    (463, "7afd252eb4443e1445f00d79bdeb2ccc")
+    (M.access_count m, digest accs);
+  Alcotest.(check int) "profile events" 318 (M.prof_event_count m);
+  Alcotest.(check string) "obs snapshot digest" "30a3f0d01da627f207803e588cb043be"
+    (digest (render (I.snapshot (M.obs m))));
+  Alcotest.(check (pair int string))
+    "footprints: count, digest"
+    (575, "d79cb2886c1c0f920abaeb7e50f6e122")
+    (List.length !fps, digest !fps)
+
+(* A lock the root holds for forty ticks while [t1] spins on it. *)
+module Spinlock = Taos_threads.Spinlock
+
+let holder ~after_acquire m =
+  M.set_recording m true;
+  ignore
+    (M.spawn_root m (fun () ->
+         let l = Spinlock.create ~name:"held" () in
+         Spinlock.acquire l;
+         let t1 =
+           Ops.spawn (fun () ->
+               Spinlock.acquire ~obs:"held" l;
+               after_acquire ();
+               Spinlock.release l)
+         in
+         for _ = 1 to 40 do
+           Ops.tick 1
+         done;
+         Spinlock.release l;
+         Ops.join t1))
+
+let lock_acqs_by tid m =
+  List.filter
+    (fun (a : M.access) -> a.M.a_tid = tid && a.M.a_kind = M.A_lock_acq)
+    (M.accesses m)
+
+(* Crash-stopping a spinner drops its wait: it never takes the lock. *)
+let test_kill_spinner () =
+  let acquired = ref false in
+  let o =
+    Engine.run ~seed:0 ~strategy:(Firefly.Sched.round_robin ())
+      ~plan:{ Plan.id = 0; actions = [ Plan.Crash_stop { after = 30; tid = 1 } ] }
+      (holder ~after_acquire:(fun () -> acquired := true))
+  in
+  let m = o.Engine.machine in
+  Alcotest.(check bool) "spinner never acquired" false !acquired;
+  Alcotest.(check int) "no lock acquisition by t1" 0
+    (List.length (lock_acqs_by 1 m));
+  Alcotest.(check bool) "t1 crash-stopped" true
+    (M.status m 1 = M.Failed M.Crash_stopped);
+  Alcotest.(check string) "verdict" "completed"
+    (Format.asprintf "%a" Engine.pp_verdict o.Engine.verdict);
+  Alcotest.(check (list int))
+    "steps, cycles, instructions, spin.iterations" [ 59; 86; 50; 4 ]
+    [
+      o.Engine.steps;
+      M.total_cycles m;
+      M.total_instructions m;
+      M.counter m "spin.iterations";
+    ]
+
+(* A spinner whose code after the winning TAS raises: the failure is
+   recorded and the ambient slot is empty again after every step. *)
+let test_spinner_raises () =
+  let leaked = ref 0 in
+  let strategy =
+    let inner = Firefly.Sched.round_robin () in
+    fun m rs ->
+      if M.Probe.self () <> None then incr leaked;
+      inner m rs
+  in
+  let r =
+    Firefly.Interleave.run ~seed:0 ~strategy
+      (holder ~after_acquire:(fun () -> failwith "after acquire"))
+  in
+  let m = r.Firefly.Interleave.machine in
+  Alcotest.(check int) "ambient slot set between steps" 0 !leaked;
+  Alcotest.(check bool) "ambient slot empty after the run" true
+    (M.Probe.self () = None);
+  Alcotest.(check (list (pair int string)))
+    "failure recorded"
+    [ (1, Printexc.to_string (Failure "after acquire")) ]
+    (List.map (fun (tid, e) -> (tid, Printexc.to_string e)) (M.failures m));
+  Alcotest.(check int) "t1 took the lock once" 1
+    (List.length (lock_acqs_by 1 m));
+  Alcotest.(check (list int))
+    "steps, cycles, spin.iterations" [ 88; 107; 20 ]
+    [
+      r.Firefly.Interleave.steps;
+      M.total_cycles m;
+      M.counter m "spin.iterations";
+    ]
+
 let suite =
   ( "step",
     [
@@ -330,4 +514,10 @@ let suite =
       Alcotest.test_case "E10 sweep totals pinned" `Quick test_e10_totals;
       Alcotest.test_case "contended E10 runs pinned" `Quick
         test_contended_pinned;
+      Alcotest.test_case "chaos spin with every stream on pinned" `Quick
+        test_chaos_spin_pinned;
+      Alcotest.test_case "crash-stopped spinner never acquires" `Quick
+        test_kill_spinner;
+      Alcotest.test_case "spinner raising after its TAS" `Quick
+        test_spinner_raises;
     ] )

@@ -3,12 +3,13 @@ module Probe = Firefly.Machine.Probe
 
 type t = { bit : int }
 
-(* Bounded exponential backoff between failed TASes, active only while a
-   chaos run has injection enabled ([Probe.chaos_active] is a host-side
-   test, so disabled runs execute the bare loop instruction-for-
-   instruction and stay schedule-identical to pre-backoff behavior).
-   Under an injected contention burst this keeps the bus from being
-   saturated by retry TASes. *)
+(* Bounded exponential backoff between failed TASes, handed to the
+   machine's wait loop ([Ops.spin]).  The loop applies it only while a
+   chaos run has injection enabled (a host-side test of the chaos gate),
+   so disabled runs execute the bare loop instruction-for-instruction and
+   stay schedule-identical to pre-backoff behavior.  Under an injected
+   contention burst this keeps the bus from being saturated by retry
+   TASes. *)
 let backoff_start = 2
 let backoff_cap = 64
 
@@ -19,32 +20,19 @@ let backoff_cap = 64
    sequence (and hence the schedule) is exactly that of the bare loop. *)
 let acquire ?obs l =
   let t0 = Probe.now () in
-  (* [iters]: the per-object spin counter's name, built at the first
-     failed TAS and reused by every later iteration of this acquire. *)
-  let rec spin iters ~backoff =
-    Ops.incr_counter "spin.iterations";
-    (match iters with Some k -> Probe.counter k 1 | None -> ());
-    let backoff =
-      if Probe.chaos_active () then begin
-        Ops.tick backoff;
-        min (backoff * 2) backoff_cap
-      end
-      else backoff
-    in
-    if Ops.tas l.bit then spin iters ~backoff else acquired ~spun:true
-  and acquired ~spun =
-    Probe.lock_acquired l.bit;
-    if spun then
-      match obs with
-      | Some n ->
-        let t1 = Probe.now () in
-        Probe.counter (n ^ ".spin_cycles") (t1 - t0);
-        Probe.span_add ~cat:"spin" ("spin " ^ n) ~t0 ~t1
-      | None -> ()
-  in
-  if Ops.tas l.bit then
-    spin (Option.map (fun n -> n ^ ".spin_iters") obs) ~backoff:backoff_start
-  else acquired ~spun:false
+  let spun = Ops.tas l.bit in
+  if spun then
+    Ops.spin l.bit
+      ~iters:(Option.map (fun n -> n ^ ".spin_iters") obs)
+      ~backoff:backoff_start ~cap:backoff_cap;
+  Probe.lock_acquired l.bit;
+  if spun then
+    match obs with
+    | Some n ->
+      let t1 = Probe.now () in
+      Probe.counter (n ^ ".spin_cycles") (t1 - t0);
+      Probe.span_add ~cat:"spin" ("spin " ^ n) ~t0 ~t1
+    | None -> ()
 
 let release l =
   Probe.lock_released l.bit;

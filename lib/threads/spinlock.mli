@@ -12,8 +12,9 @@ type t
     registers it as a [W_lock] word under [name] for the analyzers. *)
 val create : ?name:string -> unit -> t
 
-(** [acquire ?obs l] busy-waits until the bit is won.  Spin iterations are
-    counted under the machine counter ["spin.iterations"]; with [?obs]
+(** [acquire ?obs l] busy-waits until the bit is won: one test-and-set,
+    then, if it failed, the machine's wait loop
+    ({!Firefly.Machine.Ops.spin}).  Spin iterations are counted under the machine counter ["spin.iterations"]; with [?obs]
     set to an object name (e.g. ["mutex#2"]), contended acquisitions are
     additionally recorded in the instrument registry as
     ["<obs>.spin_iters"] / ["<obs>.spin_cycles"] counters and a

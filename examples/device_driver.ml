@@ -17,8 +17,7 @@ let completions = 8
 let () =
   let delivered = ref [] in
   let report =
-    Firefly.Interleave.run ~seed:7
-      ~strategy:(Firefly.Sched.prefer_interrupts (Firefly.Sched.random 7))
+    Firefly.Interleave.run ~seed:7 ~preempt:true
       (fun machine ->
         ignore
           (Firefly.Machine.spawn_root machine (fun () ->

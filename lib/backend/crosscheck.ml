@@ -246,6 +246,11 @@ let render_run b ppf r =
   Format.fprintf ppf "  plan: %s@\n" (Plan.describe r.c_plan);
   Format.fprintf ppf "  verdict: %a after %d steps@\n" Engine.pp_verdict
     o.Engine.verdict o.Engine.steps;
+  Option.iter
+    (fun w ->
+      Format.fprintf ppf "  livelock: %s@\n"
+        (Firefly.Interleave.describe_witness w))
+    o.Engine.livelock;
   (match r.c_observable with
   | Some obs -> Format.fprintf ppf "  observable: %s@\n" obs
   | None -> Format.fprintf ppf "  observable: (none)@\n");

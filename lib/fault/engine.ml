@@ -9,6 +9,7 @@ type outcome = {
   steps : int;
   machine : M.t;
   injected : M.fault list;
+  livelock : Firefly.Interleave.witness option;
 }
 
 let default_budget = 300_000
@@ -168,4 +169,5 @@ let run ?strategy ?(max_steps = default_budget) ?(seed = 0) ~(plan : Plan.t)
     | Deadlock ts -> Deadlock ts
     | Step_limit -> Step_budget
   in
-  { verdict; steps = r.steps; machine = m; injected = M.faults m }
+  { verdict; steps = r.steps; machine = m; injected = M.faults m;
+    livelock = r.livelock }

@@ -13,15 +13,20 @@
     [chaos.faults] counter) for blame attribution.
 
     Runs are deterministic: equal (seed, plan, build) yield equal
-    schedules, traces and fault records.  The step budget is the
-    watchdog — a run that an injected fault has wedged (e.g. a dropped
-    wakeup or a crash-stop holding the package lock) terminates with
-    {!Step_budget} or {!Deadlock} instead of hanging. *)
+    schedules, traces and fault records.  A run that an injected fault
+    has wedged (e.g. a dropped wakeup or a crash-stop holding the package
+    lock) terminates with {!Step_budget} or {!Deadlock} instead of
+    hanging.  When every thread left spins on a word nobody can clear and
+    the plan has no trigger left, the driver loop proves the livelock and
+    stops at its onset with a witness; otherwise the step budget is the
+    watchdog. *)
 
 type verdict =
   | Completed
   | Deadlock of Threads_util.Tid.t list  (** blocked threads *)
-  | Step_budget  (** watchdog: budget exhausted, e.g. stalled spinners *)
+  | Step_budget
+      (** stopped without progress: the budget ran out, or the driver
+          loop proved a livelock ([livelock] in the outcome) *)
 
 type outcome = {
   verdict : verdict;
@@ -30,6 +35,9 @@ type outcome = {
       (** inspect trace / failures / metrics post-run *)
   injected : Firefly.Machine.fault list;
       (** every fault injected or observed, in sequence order *)
+  livelock : Firefly.Interleave.witness option;
+      (** the spinners, their words and holders when the run stopped at a
+          proved livelock ({!Firefly.Interleave.drive}) *)
 }
 
 val default_budget : int

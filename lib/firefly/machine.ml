@@ -1009,6 +1009,15 @@ let fire_due_events m =
   flush_delayed m;
   fire_due_timers m
 
+let timed_event_pending m = Hashtbl.length m.timers > 0 || m.delayed <> []
+
+(* A failed TAS writes 1 over 1, so while the word holds a non-zero value
+   a spinner's steps change nothing another thread can see. *)
+let stuck_spin m tid =
+  match (thread m tid).paused with
+  | Spinning s when m.mem.(s.s_addr) <> 0 -> s.s_addr
+  | Spinning _ | Fresh _ | At_effect _ | Resume_unit _ | Gone -> -1
+
 let advance_to_next_event m =
   let next = Hashtbl.fold (fun _ d acc -> min d acc) m.timers max_int in
   let next = List.fold_left (fun acc (d, _, _) -> min d acc) next m.delayed in

@@ -515,6 +515,20 @@ val fire_due_events : t -> unit
     delivered by the next {!fire_due_events}. *)
 val advance_to_next_event : t -> bool
 
+(** [timed_event_pending m] — is a timer armed or a wakeup held?  Neither
+    changes the machine. *)
+val timed_event_pending : t -> bool
+
+(** {1 Livelock queries (driver side)} *)
+
+(** [stuck_spin m t] is the word thread [t] is stuck spinning on, or [-1].
+    A thread is stuck when it is in the {!Ops.spin} wait loop and the
+    word holds a non-zero value: its failed TAS writes 1 over 1, so until
+    another thread clears the word its steps change nothing another
+    thread can see (they only bump host counters and charge cycles).
+    Read-only, allocation-free. *)
+val stuck_spin : t -> Threads_util.Tid.t -> int
+
 (** {1 Fault injection (driver side)} *)
 
 (** Install (or remove) the wakeup-interrupt filter. *)

@@ -18,16 +18,6 @@ let round_robin () =
     last := next;
     next
 
-(* The first interrupt-context thread in [runnable], or -1. *)
-let rec first_interrupt m = function
-  | [] -> -1
-  | tid :: rest ->
-    if Machine.is_interrupt m tid then tid else first_interrupt m rest
-
-let prefer_interrupts inner m runnable =
-  let tid = first_interrupt m runnable in
-  if tid >= 0 then tid else inner m runnable
-
 let replay prefix fallback =
   let remaining = ref prefix in
   fun m runnable ->

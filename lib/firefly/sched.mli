@@ -14,10 +14,6 @@ val random : int -> t
 (** [round_robin ()] — cycles through runnable threads in tid order. *)
 val round_robin : unit -> t
 
-(** [prefer_interrupts inner] — wraps [inner]: whenever an
-    interrupt-context thread is runnable, pick it (the hardware preempts). *)
-val prefer_interrupts : t -> t
-
 (** [replay prefix fallback] follows the recorded tid choices in [prefix],
     then defers to [fallback]: a test forces a schedule prefix with it. *)
 val replay : Threads_util.Tid.t list -> t -> t

@@ -94,8 +94,11 @@ let run (backend : Bk.t) s =
       | Some (action, detail) -> Fail (Violation action, detail)
       | None -> Fail (Violation "?", "violation with empty error list"))
     | Cc.Unexplained ->
+      let o = r.Cc.c_outcome in
       Fail
         ( Unexplained,
-          Format.asprintf "unexplained %a"
-            Threads_fault.Engine.pp_verdict
-            r.Cc.c_outcome.Threads_fault.Engine.verdict ))
+          Format.asprintf "unexplained %a%s" Threads_fault.Engine.pp_verdict
+            o.Threads_fault.Engine.verdict
+            (match o.Threads_fault.Engine.livelock with
+            | Some w -> "; livelock: " ^ Firefly.Interleave.describe_witness w
+            | None -> "") ))

@@ -21,19 +21,17 @@ let seeds = 2000
 let interrupts_per_run = 5
 
 (* One device interrupt = one interrupt-context thread performing V.
-   [prefer] schedules interrupt threads with absolute priority, modelling
-   an interrupt that preempts the only CPU; since our Nub does not mask
-   interrupts while holding the spin-lock, that mode can livelock — the
-   very reason the real Nub raises the interrupt priority level around
-   spin-lock sections.  The default mode models the interrupt running on
-   another processor. *)
+   [prefer] runs the driver loop with interrupt preemption, so interrupt
+   threads have absolute priority, modelling an interrupt that preempts
+   the only CPU; since our Nub does not mask interrupts while holding the
+   spin-lock, that mode can livelock — the very reason the real Nub
+   raises the interrupt priority level around spin-lock sections.  The
+   loop proves each such livelock at its onset and stops with
+   [Step_limit] and a witness.  The default mode models the interrupt
+   running on another processor. *)
 let pv_run ?(prefer = false) ~seed () =
-  let strategy =
-    if prefer then Firefly.Sched.prefer_interrupts (Firefly.Sched.random seed)
-    else Firefly.Sched.random seed
-  in
   let report =
-    Firefly.Interleave.run ~seed ~max_steps:200_000 ~strategy
+    Firefly.Interleave.run ~seed ~max_steps:200_000 ~preempt:prefer
       (fun machine ->
         ignore
           (Firefly.Machine.spawn_root machine (fun () ->

@@ -282,27 +282,43 @@ let matrix_cases =
 
 (* The engine's exact counts over a fixed slice of the cells of
    [repro generate --backend=sim --chaos --seed=7]: summed steps, verdict
-   counts and injected faults, from the build before the engine stepped
-   through [Interleave.drive].  A change to the stepping loop that moves
-   a trigger, a clock jump or an idle step shows here. *)
+   counts and injected faults.  A change to the stepping loop that moves
+   a trigger, a clock jump or an idle step shows here.  Both budget runs
+   in the slice are proved livelocks, stopped at their onset; continued
+   to the budget by [Livelock_oracle], the slice sums to the steps it
+   took before the loop checked for livelocks. *)
 let slice_cells = 2000
 
+module Campaign = Threads_gen.Campaign
+module Oracle = Threads_gen.Oracle
+
+let slice_config =
+  { Campaign.policy = Threads_gen.Generate.Safe; runs = 32_000; seed = 7;
+    chaos = true; shrink = false }
+
+let slice_scenario i =
+  let s = Campaign.scenario_of_cell slice_config (backend "sim") i in
+  (s, Threads_gen.Prog.to_workload ~name:"gen" s.Oracle.program)
+
 let chaos_slice_pinned () =
-  let module Campaign = Threads_gen.Campaign in
-  let module Oracle = Threads_gen.Oracle in
-  let b = backend "sim" in
-  let driver = Option.get b.Bk.chaos in
-  let config =
-    { Campaign.policy = Threads_gen.Generate.Safe; runs = 32_000; seed = 7;
-      chaos = true; shrink = false }
-  in
-  let steps = ref 0 and injected = ref 0 in
+  let driver = Option.get (backend "sim").Bk.chaos in
+  let steps = ref 0 and extended = ref 0 and injected = ref 0 in
   let completed = ref 0 and deadlocked = ref 0 and budget = ref 0 in
   for i = 0 to slice_cells - 1 do
-    let s = Campaign.scenario_of_cell config b i in
-    let wl = Threads_gen.Prog.to_workload ~name:"gen" s.Oracle.program in
+    let s, wl = slice_scenario i in
     let _, o = driver ~seed:s.Oracle.seed ~plan:(Option.get s.Oracle.plan) wl in
     steps := !steps + o.Engine.steps;
+    (extended :=
+       !extended
+       +
+       match o.Engine.livelock with
+       | None -> o.Engine.steps
+       | Some w ->
+         Livelock_oracle.extend
+           ~what:(Printf.sprintf "cell %d" i)
+           ~preempt:false ~cap:Engine.default_budget ~steps:o.Engine.steps
+           o.Engine.machine w;
+         Engine.default_budget);
     injected := !injected + List.length o.Engine.injected;
     incr
       (match o.Engine.verdict with
@@ -312,8 +328,41 @@ let chaos_slice_pinned () =
   done;
   Alcotest.(check (list int))
     "steps, completed, deadlock, budget, injected"
-    [ 1_639_965; 1_974; 24; 2; 4_190 ]
-    [ !steps; !completed; !deadlocked; !budget; !injected ]
+    [ 1_040_791; 1_974; 24; 2; 4_190 ]
+    [ !steps; !completed; !deadlocked; !budget; !injected ];
+  Alcotest.(check int) "steps with livelocks continued to the budget"
+    1_639_965 !extended
+
+(* A proved livelock is reported in the chaos run's rendering and in the
+   oracle's detail: slice cell 1330 crash-stops t2 between the Nub
+   release's held-lock record and its clear, so the word stays set with
+   no holder on record while t1 and t4 spin on it. *)
+let livelock_rendered () =
+  let s, wl = slice_scenario 1330 in
+  let r =
+    Cc.chaos_one (backend "sim") wl ~seed:s.Oracle.seed
+      (Option.get s.Oracle.plan)
+  in
+  let summary =
+    { Cc.cs_backend = backend "sim"; cs_workload = wl; cs_skipped = false;
+      cs_runs = [ r ] }
+  in
+  let lines =
+    String.split_on_char '\n' (Format.asprintf "%a" Cc.render_chaos summary)
+  in
+  Alcotest.(check (list string))
+    "verdict, livelock and failed threads"
+    [
+      "  verdict: step budget exhausted after 170 steps";
+      "  livelock: t1, t4 spin on nub-lock (holder not on record)";
+      "  failed threads: t2 (Crash_stopped (injected processor crash-stop))";
+    ]
+    (List.filter
+       (fun l ->
+         List.exists
+           (fun prefix -> String.starts_with ~prefix l)
+           [ "  verdict:"; "  livelock:"; "  failed threads:" ])
+       lines)
 
 let suite =
   ( "fault",
@@ -341,4 +390,6 @@ let suite =
     @ [
         Alcotest.test_case "chaos campaign slice pinned" `Quick
           chaos_slice_pinned;
+        Alcotest.test_case "livelock witness rendered" `Quick
+          livelock_rendered;
       ] )

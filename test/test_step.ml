@@ -8,9 +8,12 @@
    point.  And the E10 sweep the benchmark times is pinned by exact
    totals (steps, cycles) and by one contended run's counters and obs
    snapshot, so a later hot-path change cannot shift a schedule
-   silently.  The Nub spin-lock's wait loop gets its own pins: a chaos
-   run with every host-side stream on, a spinner crash-stopped mid-wait
-   and a spinner whose code after the winning TAS raises. *)
+   silently.  Its preempting-mode livelocks stop at their onset; the
+   same runs, continued to the cap by [Livelock_oracle], keep the values
+   of the runs that burned it.  The Nub spin-lock's wait loop gets its
+   own pins: a chaos run with every host-side stream on, a spinner
+   crash-stopped mid-wait and a spinner whose code after the winning TAS
+   raises. *)
 
 module M = Firefly.Machine
 module Ops = Firefly.Machine.Ops
@@ -246,22 +249,72 @@ let test_memo_timed () =
 
 (* ---- exactness pins for E10's sweep ---- *)
 
-let e10_totals ~prefer =
+(* E10's sweep stops each preempting-mode livelock at its onset.  With
+   [~extend] every run cut short is continued to the 200 000-step cap by
+   the differential oracle, which must reproduce the totals of the sweep
+   before the livelock check existed. *)
+let e10_cap = 200_000
+
+let extend_e10 ~prefer ~seed (r : Firefly.Interleave.report) =
+  match r.livelock with
+  | None -> r.steps
+  | Some w ->
+    Livelock_oracle.extend
+      ~what:(Printf.sprintf "E10 seed %d" seed)
+      ~preempt:prefer ~cap:e10_cap ~steps:r.steps r.machine w;
+    e10_cap
+
+let e10_totals ?(extend = false) ~prefer () =
   let steps = ref 0 and cycles = ref 0 in
   for seed = 0 to 39 do
     let r = E10.pv_run ~prefer ~seed () in
-    steps := !steps + r.Firefly.Interleave.steps;
-    cycles := !cycles + M.total_cycles r.Firefly.Interleave.machine
+    steps :=
+      !steps + if extend then extend_e10 ~prefer ~seed r else r.steps;
+    cycles := !cycles + M.total_cycles r.machine
   done;
   (!steps, !cycles)
 
 let test_e10_totals () =
   Alcotest.(check (pair int int))
     "other processor: steps, cycles over seeds 0-39" (5124, 5221)
-    (e10_totals ~prefer:false);
+    (e10_totals ~prefer:false ());
   Alcotest.(check (pair int int))
-    "preempting: steps, cycles over seeds 0-39" (802998, 1203499)
-    (e10_totals ~prefer:true)
+    "preempting: steps, cycles over seeds 0-39" (3177, 3772)
+    (e10_totals ~prefer:true ());
+  Alcotest.(check (pair int int))
+    "preempting, livelocks continued to the cap" (802998, 1203499)
+    (e10_totals ~extend:true ~prefer:true ())
+
+(* Every preempting-mode run that does not finish is a proved livelock,
+   stopped well before the cap: an interrupt spinning on the Nub word
+   held by the non-interrupt thread it preempted. *)
+let test_e10_witnesses () =
+  let witnessed = ref 0 in
+  for seed = 0 to E10.seeds - 1 do
+    let r = E10.pv_run ~prefer:true ~seed () in
+    let m = r.machine in
+    match (r.verdict, r.livelock) with
+    | Firefly.Interleave.Step_limit, Some w ->
+      incr witnessed;
+      if r.steps >= e10_cap then Alcotest.failf "seed %d ran to the cap" seed;
+      if w = [] then Alcotest.failf "seed %d: empty witness" seed;
+      List.iter
+        (fun (s : Firefly.Interleave.spinner) ->
+          match s.holder with
+          | Some (h, Firefly.Interleave.Preempted)
+            when M.is_interrupt m s.spinner && not (M.is_interrupt m h) ->
+            ()
+          | _ ->
+            Alcotest.failf "seed %d: unexpected witness %s" seed
+              (Firefly.Interleave.describe_witness w))
+        w
+    | Firefly.Interleave.Step_limit, None ->
+      Alcotest.failf "seed %d: step limit without a witness" seed
+    | (Firefly.Interleave.Completed | Firefly.Interleave.Deadlock _), Some _ ->
+      Alcotest.failf "seed %d: witness on a finished run" seed
+    | (Firefly.Interleave.Completed | Firefly.Interleave.Deadlock _), None -> ()
+  done;
+  Alcotest.(check int) "livelocks proved over E10's seeds" 225 !witnessed
 
 let render (s : I.snapshot) =
   List.map (fun (k, v) -> Printf.sprintf "c %s %d" k v) s.I.counters
@@ -303,9 +356,25 @@ let test_contended_pinned () =
         "s 1 spin sem#1 spin 133 142";
       ];
   let r = E10.pv_run ~prefer:true ~seed:22 () in
-  Alcotest.(check int) "livelocked, seed 22: cycles" 299985
-    (M.total_cycles r.Firefly.Interleave.machine);
+  Alcotest.(check (pair int int))
+    "livelocked, seed 22: steps, cycles" (55, 69)
+    (r.steps, M.total_cycles r.machine);
   check_run "livelocked, seed 22" r
+    ~counters:[ ("nub.acquire", 1); ("nub.release", 1) ]
+    ~snapshot:
+      [
+        "c sem#1.acquires 4";
+        "c sem#1.blocks 1";
+        "c sem#1.fast_path_hits 4";
+        "c sem#1.nub_acquires 1";
+        "c sem#1.nub_releases 1";
+        "c sem#1.releases 4";
+        "g sem#1.queue_hwm 1";
+      ];
+  ignore (extend_e10 ~prefer:true ~seed:22 r);
+  Alcotest.(check int) "livelocked, seed 22, continued: cycles" 299985
+    (M.total_cycles r.machine);
+  check_run "livelocked, seed 22, continued" r
     ~counters:
       [ ("nub.acquire", 1); ("nub.release", 1); ("spin.iterations", 99973) ]
     ~snapshot:
@@ -520,4 +589,6 @@ let suite =
         test_kill_spinner;
       Alcotest.test_case "spinner raising after its TAS" `Quick
         test_spinner_raises;
+      Alcotest.test_case "E10 livelocks proved with witnesses" `Quick
+        test_e10_witnesses;
     ] )

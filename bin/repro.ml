@@ -266,8 +266,9 @@ let fleet_file_arg =
     & info [ "fleet" ] ~docv:"FILE"
         ~doc:
           "After the run, write the per-worker fleet utilization table \
-           (cells executed, steals won/failed, idle spins, busy time, \
-           in-flight high-water) to $(docv)")
+           (cells executed, busy time, utilization, longest cell; the \
+           title counts the fan-outs, the rounds of domain spawns and \
+           joins) to $(docv)")
 
 let fleet_trace_arg =
   Arg.(

@@ -93,9 +93,9 @@ let first_error s =
 
 (* Run every registered backend able to take the workload.  The whole
    backend x seed matrix is flattened into one cell array so the
-   work-stealing executor balances load across backends of very
-   different costs, then regrouped into per-backend summaries in
-   registration order. *)
+   executor's workers, each claiming the next cell from one cursor,
+   share the load across backends of very different costs, then
+   regrouped into per-backend summaries in registration order. *)
 let diff ?telemetry ?(jobs = 1) (workload : Workload.t) ~seeds =
   let supported =
     List.map (fun b -> (b, Backend.supports b workload)) Backend.all

@@ -23,7 +23,7 @@ type summary = {
 
 (** [conform ?jobs b w ~seeds] — run seeds [0..seeds-1] and check each
     trace.  [jobs] > 1 distributes the seed matrix over that many OCaml
-    domains with the work-stealing executor; every cell is an isolated
+    domains with the shared-cursor executor; every cell is an isolated
     machine with its own per-seed RNG and domain-local probe slot, and
     results keep index order, so the summary is identical for any
     [jobs].  [?telemetry] attaches a host-side observation sink to the
@@ -57,7 +57,7 @@ val ok : summary -> bool
 val first_error : summary -> string option
 
 (** [diff ?jobs w ~seeds] — [conform] on every registered backend; the
-    whole backend x seed matrix is one work-stealing pool. *)
+    whole backend x seed matrix is one shared-cursor matrix. *)
 val diff :
   ?telemetry:Threads_runner.Telemetry.sink -> ?jobs:int -> Workload.t ->
   seeds:int -> summary list

@@ -96,7 +96,7 @@ val explore_dpor :
 (** [explore_dpor_parallel ?split_branches ?jobs ...] splits the schedule
     tree exhaustively at the first [split_branches] branch points (default
     2) and runs an independent {!explore_dpor} under each frozen prefix,
-    distributed over [jobs] domains by the work-stealing run-matrix
+    distributed over [jobs] domains by the shared-cursor run-matrix
     executor.  The split happens regardless of [jobs], so the returned
     violation set and statistics are byte-identical for any worker count.
     Each per-prefix search gets its own [max_runs] budget.

@@ -8,8 +8,8 @@
    cycle- and schedule-identical.
 
    Concurrency: each worker's record is written only by that worker's
-   domain (the runner routes events by worker index); cross-worker
-   values (the in-flight high-water mark) are atomics.  Snapshots are
+   domain (the runner routes events by worker index); the fan-out count,
+   bumped on the calling domain, is an atomic.  Snapshots are
    taken after the matrix has joined its workers, from one domain. *)
 
 module T = Threads_runner.Telemetry
@@ -23,10 +23,6 @@ let seg_gap = 0.0005
 
 type worker = {
   mutable w_cells : int;
-  mutable w_steals_won : int;
-  mutable w_stolen_cells : int;
-  mutable w_steals_failed : int;
-  mutable w_idle_spins : int;
   mutable w_busy_s : float;
   mutable w_max_cell_s : float;
   mutable w_last_cell_s : float;
@@ -39,10 +35,6 @@ type worker = {
 let fresh_worker () =
   {
     w_cells = 0;
-    w_steals_won = 0;
-    w_stolen_cells = 0;
-    w_steals_failed = 0;
-    w_idle_spins = 0;
     w_busy_s = 0.;
     w_max_cell_s = 0.;
     w_last_cell_s = 0.;
@@ -58,7 +50,7 @@ type t = {
   now : unit -> float;
   t0 : float;
   workers : worker array;
-  inflight_hw : int Atomic.t;
+  fan_outs : int Atomic.t;
 }
 
 let create ?(label = "matrix") ?now ~jobs ~cells () =
@@ -69,22 +61,19 @@ let create ?(label = "matrix") ?now ~jobs ~cells () =
     now;
     t0 = now ();
     workers = Array.init (max 1 jobs) (fun _ -> fresh_worker ());
-    inflight_hw = Atomic.make 0;
+    fan_outs = Atomic.make 0;
   }
 
 let jobs t = Array.length t.workers
 let label t = t.label
-
-let rec atomic_max a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
 
 let get t i = if i >= 0 && i < Array.length t.workers then Some t.workers.(i) else None
 let last_cell_s t ~worker = match get t worker with Some w -> w.w_last_cell_s | None -> 0.
 
 let sink t =
   {
-    T.cell_start =
+    T.null with
+    cell_start =
       (fun ~worker ~cell:_ ->
         match get t worker with
         | None -> ()
@@ -115,33 +104,12 @@ let sink t =
               w.w_nsegs <- w.w_nsegs + 1
             end);
           w.w_cur_start <- Float.nan);
-    steal =
-      (fun ~worker ~victim:_ ~cells ->
-        match get t worker with
-        | None -> ()
-        | Some w ->
-          w.w_steals_won <- w.w_steals_won + 1;
-          w.w_stolen_cells <- w.w_stolen_cells + cells);
-    steal_fail =
-      (fun ~worker ->
-        match get t worker with
-        | None -> ()
-        | Some w -> w.w_steals_failed <- w.w_steals_failed + 1);
-    idle_spin =
-      (fun ~worker ->
-        match get t worker with
-        | None -> ()
-        | Some w -> w.w_idle_spins <- w.w_idle_spins + 1);
-    in_flight = (fun ~count -> atomic_max t.inflight_hw count);
+    fan_out = (fun ~workers:_ ~cells:_ -> Atomic.incr t.fan_outs);
   }
 
 type worker_stats = {
   ws_id : int;
   ws_cells : int;
-  ws_steals_won : int;
-  ws_stolen_cells : int;
-  ws_steals_failed : int;
-  ws_idle_spins : int;
   ws_busy_s : float;
   ws_max_cell_s : float;
   ws_segments : (float * float) list; (* oldest first, relative to t0 *)
@@ -153,7 +121,7 @@ type report = {
   r_jobs : int;
   r_expected : int;
   r_elapsed_s : float;
-  r_inflight_hw : int;
+  r_fan_outs : int;
   r_workers : worker_stats list;
 }
 
@@ -166,10 +134,6 @@ let snapshot t =
            {
              ws_id = i;
              ws_cells = w.w_cells;
-             ws_steals_won = w.w_steals_won;
-             ws_stolen_cells = w.w_stolen_cells;
-             ws_steals_failed = w.w_steals_failed;
-             ws_idle_spins = w.w_idle_spins;
              ws_busy_s = w.w_busy_s;
              ws_max_cell_s = w.w_max_cell_s;
              ws_segments =
@@ -185,7 +149,7 @@ let snapshot t =
     r_jobs = Array.length t.workers;
     r_expected = t.expected;
     r_elapsed_s = elapsed;
-    r_inflight_hw = Atomic.get t.inflight_hw;
+    r_fan_outs = Atomic.get t.fan_outs;
     r_workers = workers;
   }
 
@@ -197,15 +161,11 @@ let render r =
     Tb.create
       ~title:
         (Printf.sprintf
-           "fleet: %s — %d cells over %d workers in %.1f ms (in-flight \
-            high-water %d)"
+           "fleet: %s — %d cells over %d workers in %.1f ms (%d fan-outs)"
            r.r_label (total_cells r) r.r_jobs
            (r.r_elapsed_s *. 1e3)
-           r.r_inflight_hw)
-      [
-        "worker"; "cells"; "steals"; "stolen"; "fails"; "idle"; "busy ms";
-        "util"; "max cell ms";
-      ]
+           r.r_fan_outs)
+      [ "worker"; "cells"; "busy ms"; "util"; "max cell ms" ]
   in
   let ms s = Tb.cell_float ~decimals:2 (s *. 1e3) in
   let util busy =
@@ -218,27 +178,18 @@ let render r =
         [
           Tb.cell_int w.ws_id;
           Tb.cell_int w.ws_cells;
-          Tb.cell_int w.ws_steals_won;
-          Tb.cell_int w.ws_stolen_cells;
-          Tb.cell_int w.ws_steals_failed;
-          Tb.cell_int w.ws_idle_spins;
           ms w.ws_busy_s;
           util w.ws_busy_s;
           ms w.ws_max_cell_s;
         ])
     r.r_workers;
   Tb.add_rule tb;
-  let sum f = List.fold_left (fun acc w -> acc + f w) 0 r.r_workers in
   let sumf f = List.fold_left (fun acc w -> acc +. f w) 0. r.r_workers in
   let busy = sumf (fun w -> w.ws_busy_s) in
   Tb.add_row tb
     [
       "all";
       Tb.cell_int (total_cells r);
-      Tb.cell_int (sum (fun w -> w.ws_steals_won));
-      Tb.cell_int (sum (fun w -> w.ws_stolen_cells));
-      Tb.cell_int (sum (fun w -> w.ws_steals_failed));
-      Tb.cell_int (sum (fun w -> w.ws_idle_spins));
       ms busy;
       (* Aggregate utilization: busy time over worker-seconds. *)
       (if r.r_elapsed_s > 0. then
@@ -256,10 +207,6 @@ let worker_to_json w =
     [
       ("worker", Obs.Json.Int w.ws_id);
       ("cells", Obs.Json.Int w.ws_cells);
-      ("steals_won", Obs.Json.Int w.ws_steals_won);
-      ("stolen_cells", Obs.Json.Int w.ws_stolen_cells);
-      ("steals_failed", Obs.Json.Int w.ws_steals_failed);
-      ("idle_spins", Obs.Json.Int w.ws_idle_spins);
       ("busy_ms", Obs.Json.Float (round3 (w.ws_busy_s *. 1e3)));
       ("max_cell_ms", Obs.Json.Float (round3 (w.ws_max_cell_s *. 1e3)));
     ]
@@ -271,7 +218,7 @@ let to_json r =
       ("jobs", Obs.Json.Int r.r_jobs);
       ("cells", Obs.Json.Int (total_cells r));
       ("elapsed_ms", Obs.Json.Float (round3 (r.r_elapsed_s *. 1e3)));
-      ("inflight_high_water", Obs.Json.Int r.r_inflight_hw);
+      ("fan_outs", Obs.Json.Int r.r_fan_outs);
       ("workers", Obs.Json.Arr (List.map worker_to_json r.r_workers));
     ]
 

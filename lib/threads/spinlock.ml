@@ -34,9 +34,14 @@ let acquire ?obs l =
       Probe.span_add ~cat:"spin" ("spin " ^ n) ~t0 ~t1
     | None -> ()
 
+(* The held-lock record is dropped inside the clear's own instruction,
+   as [Mutex.release] does, so no crash-stop can fall between the two and
+   leave the word set with no holder on record. *)
 let release l =
-  Probe.lock_released l.bit;
-  Ops.clear l.bit
+  ignore
+    (Ops.mem_emit (Firefly.Machine.M_clear l.bit) (fun _ ->
+         Probe.lock_released l.bit;
+         None))
 
 let addr l = l.bit
 

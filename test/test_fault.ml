@@ -334,9 +334,9 @@ let chaos_slice_pinned () =
     1_639_965 !extended
 
 (* A proved livelock is reported in the chaos run's rendering and in the
-   oracle's detail: slice cell 1330 crash-stops t2 between the Nub
-   release's held-lock record and its clear, so the word stays set with
-   no holder on record while t1 and t4 spin on it. *)
+   oracle's detail: slice cell 1330 crash-stops t2 just before the clear
+   of its Nub release, so the word stays set, on record as t2's, while t1
+   and t4 spin on it. *)
 let livelock_rendered () =
   let s, wl = slice_scenario 1330 in
   let r =
@@ -354,7 +354,7 @@ let livelock_rendered () =
     "verdict, livelock and failed threads"
     [
       "  verdict: step budget exhausted after 170 steps";
-      "  livelock: t1, t4 spin on nub-lock (holder not on record)";
+      "  livelock: t1, t4 spin on nub-lock held by t2 (crash-stopped)";
       "  failed threads: t2 (Crash_stopped (injected processor crash-stop))";
     ]
     (List.filter

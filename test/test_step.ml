@@ -478,7 +478,7 @@ let test_chaos_spin_pinned () =
     spin_obs;
   Alcotest.(check (pair int string))
     "access stream: length, digest"
-    (463, "7afd252eb4443e1445f00d79bdeb2ccc")
+    (463, "31aba73dc0b47a7f00f565cdafc49347")
     (M.access_count m, digest accs);
   Alcotest.(check int) "profile events" 318 (M.prof_event_count m);
   Alcotest.(check string) "obs snapshot digest" "30a3f0d01da627f207803e588cb043be"

@@ -311,7 +311,9 @@ let stream_par = stream_arm ~jobs:scale_jobs "max"
    wakeup-waiting scenario (the one scenario small enough for DFS to
    finish quickly).  Both traverse the full tree; DPOR visits a fraction
    of the executions — the deterministic reduction itself is recorded in
-   the JSON's `dpor` block, these arms time it. *)
+   the JSON's `dpor` block, these arms time it.  A DPOR arm on
+   disjoint-locks (119 executions, against wakeup-waiting's 14) shows
+   the cost per execution. *)
 let explore_scenario =
   Option.get (Threads_harness.Explore_scenarios.find "wakeup-waiting")
 
@@ -324,14 +326,17 @@ let explore_dfs =
               ~build:explore_scenario.Threads_harness.Explore_scenarios.build
               explore_scenario.Threads_harness.Explore_scenarios.check)))
 
-let explore_dpor =
-  Test.make ~name:"explore/wakeup-waiting dpor"
+let dpor_arm name =
+  let module Sc = Threads_harness.Explore_scenarios in
+  let s = Option.get (Sc.find name) in
+  Test.make ~name:(Printf.sprintf "explore/%s dpor" name)
     (Staged.stage (fun () ->
          ignore
-           (Firefly.Explore.explore_dpor
-              ~max_depth:explore_scenario.Threads_harness.Explore_scenarios.max_depth
-              ~build:explore_scenario.Threads_harness.Explore_scenarios.build
-              explore_scenario.Threads_harness.Explore_scenarios.check)))
+           (Firefly.Explore.explore_dpor ~max_depth:s.Sc.max_depth
+              ~build:s.Sc.build s.Sc.check)))
+
+let explore_dpor = dpor_arm "wakeup-waiting"
+let explore_dpor_disjoint = dpor_arm "disjoint-locks"
 
 (* The reduction is deterministic (same scenario, same tree): measured
    once outside the timing loop, like `arm_sim_cycles`. *)
@@ -582,6 +587,7 @@ let () =
         stream_par;
         explore_dfs;
         explore_dpor;
+        explore_dpor_disjoint;
         e10_spin;
       ]
   in
